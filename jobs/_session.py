@@ -2,7 +2,8 @@
 
 Mirrors ``conftest.py``'s session configuration (shuffle partitions,
 Arrow, broadcast joins disabled) so jobs and tests see the same planner
-behaviour.  Jobs run fine under plain ``python jobs/<name>.py`` too —
+behaviour.  The console progress bar is off so that a job's log holds
+its results.  Jobs run fine under plain ``python jobs/<name>.py`` too —
 pyspark launches its own local JVM.
 """
 from __future__ import annotations
@@ -30,5 +31,6 @@ def get_spark(app_name: str) -> SparkSession:
         )
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()
     )

@@ -24,7 +24,11 @@ from repro.sparkops.metrics import (
     median_segment_rmse,
     summary_table,
 )
-from repro.sparkops.stream_df import stream_to_spark, table2_stats_df
+from repro.sparkops.stream_df import (
+    DATASET_CODE,
+    streams_to_spark,
+    table2_grouped_df,
+)
 from repro.sparkops.trials import run_trials
 
 __all__ = [
@@ -60,17 +64,26 @@ def load_streams(
 def table2(spark: SparkSession, streams: dict[str, StreamData]) -> pd.DataFrame:
     """Table 2: per-dataset predicate positivity p and proxy Pearson r.
 
-    Computed with Spark SQL over the stream DataFrames; the returned
-    frame also carries the paper's published targets for diffing.
+    Computed with one Spark SQL aggregate over all the streams, grouped
+    by dataset; rows come back in ``streams`` order and also carry the
+    paper's published targets for diffing.
     """
-    rows = []
-    for name, stream in streams.items():
-        df = table2_stats_df(stream_to_spark(spark, stream), name)
-        rows.append(df.toPandas())
-    out = pd.concat(rows, ignore_index=True)
-    out["p_paper"] = [SPECS[n].p for n in out["dataset"]]
-    out["r_paper"] = [SPECS[n].r for n in out["dataset"]]
-    return out[["dataset", "p_paper", "p", "r_paper", "r"]]
+    stats = (
+        table2_grouped_df(streams_to_spark(spark, streams))
+        .toPandas()
+        .set_index(DATASET_CODE)
+        .reindex(range(len(streams)))
+    )
+    names = list(streams)
+    return pd.DataFrame(
+        {
+            "dataset": names,
+            "p_paper": [SPECS[n].p for n in names],
+            "p": stats["p"].to_numpy(),
+            "r_paper": [SPECS[n].r for n in names],
+            "r": stats["r"].to_numpy(),
+        }
+    )
 
 
 def table34(

@@ -16,48 +16,26 @@ import os
 import time
 from pathlib import Path
 
-import pyarrow as pa
 import pyarrow.parquet as pq
 from pyspark.sql import SparkSession
-from pyspark.sql.types import (
-    BooleanType,
-    DoubleType,
-    IntegerType,
-    LongType,
-    StructField,
-    StructType,
-)
 
 from repro.core.inquest import InQuestConfig, InQuestState
 from repro.datasets.streams import StreamData
-from repro.sparkops.stream_df import stream_to_pandas
+from repro.sparkops.stream_df import STREAM_SCHEMA, stream_to_arrow
 
 __all__ = ["STREAM_SCHEMA", "write_segment_files", "run_streaming_inquest"]
-
-STREAM_SCHEMA = StructType(
-    [
-        StructField("record_idx", LongType()),
-        StructField("segment", IntegerType()),
-        StructField("statistic", DoubleType()),
-        StructField("pred", BooleanType()),
-        StructField("proxy", DoubleType()),
-    ]
-)
 
 
 def write_segment_files(stream: StreamData, directory: str | Path) -> list[Path]:
     """One parquet file per segment, mtimes forcing arrival order."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    pdf = stream_to_pandas(stream)
+    table = stream_to_arrow(stream)
     base = time.time() - stream.n_segments * 10
     paths = []
     for t in range(stream.n_segments):
         path = directory / f"segment-{t:05d}.parquet"
-        pq.write_table(
-            pa.Table.from_pandas(pdf[pdf["segment"] == t], preserve_index=False),
-            path,
-        )
+        pq.write_table(table.slice(t * stream.seg_len, stream.seg_len), path)
         os.utime(path, (base + t * 10, base + t * 10))
         paths.append(path)
     return paths
@@ -75,7 +53,10 @@ def run_streaming_inquest(
 
     Each returned dict is ``InQuestState.observe_segment``'s output plus
     the observed ``segment`` ids of the batch.  Raises if any micro-batch
-    spans more than one segment (would mean file/trigger misconfiguration).
+    spans more than one segment (would mean file/trigger misconfiguration),
+    re-raises the query's own failure, and raises ``TimeoutError`` when
+    the backlog is not drained within ``timeout_s``: partial results are
+    never returned.
     """
     state = InQuestState(config, seed=seed)
     results: list[dict] = []
@@ -110,6 +91,17 @@ def run_streaming_inquest(
         )
         .start()
     )
-    query.awaitTermination(timeout_s)
-    query.stop()
+    try:
+        finished = query.awaitTermination(timeout_s)
+    finally:
+        query.stop()
+    error = query.exception()
+    if error is not None:
+        raise error
+    if not finished:
+        done = [r["source_segment"] for r in results]
+        raise TimeoutError(
+            f"streaming query over {source_dir} did not finish within "
+            f"{timeout_s} s; segments processed: {done}"
+        )
     return results

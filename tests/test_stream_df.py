@@ -5,10 +5,16 @@ from pyspark.sql import functions as F
 
 from repro.datasets.streams import DATASET_NAMES, generate, segment_truths
 from repro.oracle import assert_equivalent
+from repro.experiments import table2
 from repro.sparkops.stream_df import (
+    DATASET_CODE,
+    STREAM_ARROW_SCHEMA,
     segment_truth_df,
-    stream_to_pandas,
+    stream_to_arrow,
     stream_to_spark,
+    streams_to_arrow,
+    streams_to_spark,
+    table2_grouped_df,
     table2_stats_df,
 )
 
@@ -65,7 +71,7 @@ class TestSegmentTruthDf:
                    coalesce(avg(CASE WHEN pred THEN statistic END), 0.0) AS truth
             FROM stream GROUP BY segment ORDER BY segment
             """,
-            stream=stream_to_pandas(stream),
+            stream=stream_to_arrow(stream),
         )
 
     def test_against_duckdb_no_predicate(self, stream, stream_df):
@@ -73,7 +79,7 @@ class TestSegmentTruthDf:
             segment_truth_df(stream_df, predicate=False),
             "SELECT segment, avg(statistic) AS truth FROM stream "
             "GROUP BY segment ORDER BY segment",
-            stream=stream_to_pandas(stream),
+            stream=stream_to_arrow(stream),
         )
 
 
@@ -87,7 +93,7 @@ class TestTable2StatsDf:
                    corr(proxy, CASE WHEN pred THEN statistic ELSE 0.0 END) AS r
             FROM stream
             """,
-            stream=stream_to_pandas(stream),
+            stream=stream_to_arrow(stream),
         )
 
     def test_matches_numpy_correlation(self, stream, stream_df):
@@ -101,6 +107,75 @@ class TestTable2StatsDf:
         s = generate(name, n_records=5_000, seg_len=1_000)
         row = table2_stats_df(stream_to_spark(spark, s), name).collect()[0]
         assert row["dataset"] == name and 0 <= row["p"] <= 1
+
+
+class TestTable2Grouped:
+    """All streams in one DataFrame, one grouped aggregate."""
+
+    @pytest.fixture(scope="class")
+    def streams(self):
+        # Not DATASET_NAMES order, so order is checked, not assumed.
+        names = list(reversed(DATASET_NAMES))
+        return {n: generate(n, n_records=6_000, seg_len=1_500) for n in names}
+
+    @pytest.fixture(scope="class")
+    def table(self, spark, streams):
+        return table2(spark, streams)
+
+    def test_rows_in_streams_order(self, streams, table):
+        assert list(table["dataset"]) == list(streams)
+
+    def test_paper_targets_carried(self, table):
+        assert list(table.columns) == ["dataset", "p_paper", "p", "r_paper", "r"]
+
+    def test_matches_per_stream_and_numpy(self, spark, streams, table):
+        for row, (name, s) in zip(table.itertuples(), streams.items()):
+            single = table2_stats_df(stream_to_spark(spark, s), name).collect()[0]
+            r_np = np.corrcoef(s.proxy, np.where(s.pred, s.statistic, 0.0))[0, 1]
+            assert abs(row.p - single["p"]) < 1e-9 and abs(row.r - single["r"]) < 1e-9
+            assert abs(row.p - s.pred.mean()) < 1e-9 and abs(row.r - r_np) < 1e-9
+
+    def test_against_duckdb(self, spark, streams):
+        assert_equivalent(
+            table2_grouped_df(streams_to_spark(spark, streams)),
+            f"""
+            SELECT {DATASET_CODE},
+                   avg(CAST(pred AS DOUBLE)) AS p,
+                   corr(proxy, CASE WHEN pred THEN statistic ELSE 0.0 END) AS r
+            FROM streams GROUP BY {DATASET_CODE}
+            """,
+            streams=streams_to_arrow(streams),
+        )
+
+    def test_codes_mark_each_stream(self, streams):
+        t = streams_to_arrow(streams)
+        codes = t.column(DATASET_CODE).to_numpy()
+        sizes = [s.n_records for s in streams.values()]
+        assert np.array_equal(codes, np.repeat(np.arange(len(streams)), sizes))
+        assert t.drop_columns([DATASET_CODE]).schema == STREAM_ARROW_SCHEMA
+
+    def test_spark_jobs_do_not_grow_with_streams(self, spark, streams):
+        # One grouped query over six streams costs the Spark jobs of one
+        # single-stream query (a shuffle-map job and a result job under
+        # adaptive execution), not six times as many.
+        sc = spark.sparkContext
+
+        def jobs(group, fn):
+            sc.setJobGroup(group, group)
+            try:
+                fn()
+            finally:
+                sc.setLocalProperty("spark.jobGroup.id", None)
+            return len(sc.statusTracker().getJobIdsForGroup(group))
+
+        name, s = next(iter(streams.items()))
+        one = jobs("table2-one", lambda: table2(spark, {name: s}))
+        six = jobs("table2-six", lambda: table2(spark, streams))
+        single = jobs(
+            "table2-single",
+            lambda: table2_stats_df(stream_to_spark(spark, s), name).toPandas(),
+        )
+        assert six == one == single
 
 
 class TestProvidedTpchGenerators:

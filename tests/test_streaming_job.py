@@ -1,9 +1,15 @@
 """Structured Streaming deployment tests: one micro-batch per segment."""
 import numpy as np
+import pyarrow.parquet as pq
 import pytest
 
 from repro.core.inquest import InQuestConfig, inquest_trial
 from repro.datasets.streams import generate
+from repro.sparkops.stream_df import (
+    STREAM_ARROW_SCHEMA,
+    stream_to_arrow,
+    stream_to_spark,
+)
 from repro.streaming.job import (
     STREAM_SCHEMA,
     run_streaming_inquest,
@@ -36,8 +42,6 @@ class TestWriteSegmentFiles:
         assert all(a < b for a, b in zip(mtimes, mtimes[1:]))
 
     def test_files_partition_the_stream(self, source_dir, stream):
-        import pyarrow.parquet as pq
-
         total = sum(
             pq.read_table(f).num_rows for f in source_dir.glob("segment-*.parquet")
         )
@@ -51,6 +55,20 @@ class TestWriteSegmentFiles:
             "pred",
             "proxy",
         ]
+
+    def test_one_schema_everywhere(self, spark, source_dir, stream):
+        # The Arrow table, the Spark DataFrame, the staged files and the
+        # streaming source's schema are one schema.
+        assert stream_to_arrow(stream).schema == STREAM_ARROW_SCHEMA
+        assert stream_to_spark(spark, stream).schema == STREAM_SCHEMA
+        for f in source_dir.glob("segment-*.parquet"):
+            assert pq.read_schema(f).remove_metadata() == STREAM_ARROW_SCHEMA
+        assert spark.read.parquet(str(source_dir)).schema == STREAM_SCHEMA
+
+    def test_segment_files_hold_their_segment(self, source_dir, stream):
+        whole = stream_to_arrow(stream)
+        for t, f in enumerate(sorted(source_dir.glob("segment-*.parquet"))):
+            assert pq.read_table(f).equals(whole.slice(t * _SEG, _SEG))
 
 
 class TestRunStreamingInquest:
@@ -86,3 +104,17 @@ class TestRunStreamingInquest:
 
     def test_oracle_calls_respect_budget(self, outputs):
         assert all(r["oracle_calls"] == 100 for r in outputs)
+
+    def test_timeout_raises_instead_of_partial_results(
+        self, spark, tmp_path, stream
+    ):
+        write_segment_files(stream, tmp_path)
+        with pytest.raises(TimeoutError, match="segments processed"):
+            run_streaming_inquest(
+                spark,
+                tmp_path,
+                config=InQuestConfig(n_per_segment=100),
+                seed=11,
+                timeout_s=0.05,
+            )
+        assert not spark.streams.active
