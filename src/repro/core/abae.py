@@ -15,19 +15,59 @@ Section 5.2.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .allocation import estimated_allocation, stratum_stats
 from .estimator import StratumSample, get_prediction, segment_estimate
 from .inquest import segment_slices
-from .sampling import (
-    cap_and_redistribute,
-    largest_remainder_round,
-    uniform_without_replacement,
-)
-from .stratify import assign_strata, quantile_boundaries
+from .sampling import cap_and_redistribute, draw_stratified, largest_remainder_round
+from .stratify import SegmentStrata, quantile_boundaries, stratify
 
-__all__ = ["abae_trial"]
+__all__ = ["AbaePlan", "abae_plan", "abae_trial"]
+
+
+@dataclass(frozen=True)
+class AbaePlan:
+    """ABae's seed-independent strata over one stream.
+
+    ``strata`` are the global proxy-quantile strata (members are record
+    positions in the stream); ``seg_sizes[t, k]`` is how many of stratum
+    ``k``'s records fall in segment ``t``.
+    """
+
+    strata: SegmentStrata
+    seg_sizes: np.ndarray
+
+
+def abae_plan(proxy: np.ndarray, *, seg_len: int, k: int = 3) -> AbaePlan:
+    """Global strata and their per-segment sizes; the same for every trial."""
+    proxy = np.asarray(proxy, dtype=np.float64)
+    strata = stratify(proxy, quantile_boundaries(proxy, k))
+    edges = [sl.start for sl in segment_slices(len(proxy), seg_len)] + [len(proxy)]
+    seg_sizes = np.stack(
+        [np.diff(np.searchsorted(m, edges)) for m in strata.members], axis=1
+    )
+    return AbaePlan(strata, seg_sizes)
+
+
+def _draw_unused(
+    rng: np.random.Generator, members: np.ndarray, used: np.ndarray, size: int
+) -> np.ndarray:
+    """Uniform draw of ``size`` members not in ``used`` (which ⊂ members).
+
+    Draws ``j`` among the unused positions' ranks and maps each rank to
+    its position in ``members``: the rank-``j`` unused position is ``j``
+    plus the number of used positions ``r_i`` whose ``r_i - i <= j``.
+    The same random numbers and result as ``Generator.choice`` over the
+    explicit set difference, without building it.
+    """
+    if size <= 0:
+        return members[:0].copy()
+    r = np.sort(np.searchsorted(members, used))
+    j = rng.choice(len(members) - len(r), size=size, replace=False)
+    return members[j + np.searchsorted(r - np.arange(len(r)), j, side="right")]
 
 
 def abae_trial(
@@ -40,32 +80,30 @@ def abae_trial(
     seed: int = 0,
     k: int = 3,
     pilot_frac: float = 0.15,
+    plan: AbaePlan | None = None,
 ) -> dict:
-    """One ABae trial over a materialised dataset."""
+    """One ABae trial over a materialised dataset.
+
+    ``plan`` is :func:`abae_plan` of the same stream, built here when not
+    given.
+    """
     f = np.asarray(f, dtype=np.float64)
     pred = np.asarray(pred, dtype=bool)
-    proxy = np.asarray(proxy, dtype=np.float64)
+    if plan is None:
+        plan = abae_plan(proxy, seg_len=seg_len, k=k)
+    members = plan.strata.members
+    d_sizes = plan.strata.sizes
     rng = np.random.default_rng([seed, 0])
-
-    boundaries = quantile_boundaries(proxy, k)
-    strata = assign_strata(proxy, boundaries)
-    d_sizes = np.bincount(strata, minlength=k)
 
     # Stage 1 — pilot: even split of pilot_frac * budget across strata.
     pilot_budget = max(k, int(round(pilot_frac * total_budget)))
     pilot_each = largest_remainder_round(np.ones(k), pilot_budget)
     pilot_each = cap_and_redistribute(pilot_each, d_sizes)
-    pilot_idx_by_stratum = []
-    for k_ in range(k):
-        members = np.flatnonzero(strata == k_)
-        pilot_idx_by_stratum.append(
-            uniform_without_replacement(rng, members, pilot_each[k_])
-        )
-    pilot_idx = np.concatenate(pilot_idx_by_stratum)
+    pilot_idx, pilot_strata = draw_stratified(rng, members, pilot_each)
 
     # Allocation estimate from the pilot (optimal |D_k| sqrt(p_k) sigma_k
     # rule); uniform fallback when the pilot is uninformative.
-    stats = stratum_stats(f[pilot_idx], pred[pilot_idx], strata[pilot_idx], k)
+    stats = stratum_stats(f[pilot_idx], pred[pilot_idx], pilot_strata, k)
     alloc = estimated_allocation(d_sizes, stats["p_hat"], stats["sigma_hat"])
     if alloc is None:
         alloc = np.full(k, 1.0 / k)
@@ -78,11 +116,10 @@ def abae_trial(
     )
     all_idx_by_stratum = []
     for k_ in range(k):
-        members = np.flatnonzero(strata == k_)
-        unused = np.setdiff1d(members, pilot_idx_by_stratum[k_], assume_unique=True)
-        drawn = uniform_without_replacement(rng, unused, stage2[k_])
+        pilot_k = pilot_idx[pilot_strata == k_]
+        drawn = _draw_unused(rng, members[k_], pilot_k, stage2[k_])
         # Sample reuse: the final estimator sees pilot + stage-2 samples.
-        all_idx_by_stratum.append(np.concatenate([pilot_idx_by_stratum[k_], drawn]))
+        all_idx_by_stratum.append(np.concatenate([pilot_k, drawn]))
 
     # Full-query estimate from global strata.
     global_cells = [
@@ -93,15 +130,12 @@ def abae_trial(
     # Per-segment estimates: restrict the sample to each segment.
     slices = segment_slices(len(f), seg_len)
     seg_estimates = []
-    for sl in slices:
+    for sl, sizes_t in zip(slices, plan.seg_sizes, strict=True):
         cells_t = []
-        for k_, ix in enumerate(all_idx_by_stratum):
+        for ix, size in zip(all_idx_by_stratum, sizes_t):
             in_seg = ix[(ix >= sl.start) & (ix < sl.stop)]
-            members_in_seg = int(
-                np.count_nonzero(strata[sl.start : sl.stop] == k_)
-            )
             cells_t.append(
-                StratumSample(f=f[in_seg], pred=pred[in_seg], d_size=members_in_seg)
+                StratumSample(f=f[in_seg], pred=pred[in_seg], d_size=int(size))
             )
         seg_estimates.append(segment_estimate(cells_t))
 

@@ -20,10 +20,10 @@ import numpy as np
 
 from .estimator import StratumSample, get_prediction, segment_estimate
 from .inquest import segment_slices
-from .sampling import uniform_without_replacement
-from .stratify import FIXED_BOUNDARIES, assign_strata
+from .sampling import draw_stratified
+from .stratify import SegmentStrata, fixed_boundaries, stratify
 
-__all__ = ["uniform_trial", "fixed_stratified_trial"]
+__all__ = ["uniform_trial", "fixed_stratified_plan", "fixed_stratified_trial"]
 
 
 def uniform_trial(
@@ -38,13 +38,14 @@ def uniform_trial(
     """Uniform-sampling baseline: ``NT`` precomputed positions over the query.
 
     ``proxy`` is accepted for interface uniformity but unused — uniform
-    sampling is proxy-free.
+    sampling is proxy-free, so it has no plan.
     """
     del proxy
     f = np.asarray(f, dtype=np.float64)
     pred = np.asarray(pred, dtype=bool)
     rng = np.random.default_rng([seed, 0])
-    positions = uniform_without_replacement(rng, np.arange(len(f)), total_budget)
+    size = max(0, min(total_budget, len(f)))
+    positions = rng.choice(len(f), size=size, replace=False)
     slices = segment_slices(len(f), seg_len)
     cells = []
     for sl in slices:
@@ -61,6 +62,16 @@ def uniform_trial(
     }
 
 
+def fixed_stratified_plan(
+    proxy: np.ndarray, *, seg_len: int, k: int = 3
+) -> list[SegmentStrata]:
+    """Every segment's fixed strata; the same for every trial seed."""
+    proxy = np.asarray(proxy, dtype=np.float64)
+    boundaries = fixed_boundaries(k)
+    slices = segment_slices(len(proxy), seg_len)
+    return [stratify(proxy[sl], boundaries) for sl in slices]
+
+
 def fixed_stratified_trial(
     f: np.ndarray,
     pred: np.ndarray,
@@ -70,15 +81,18 @@ def fixed_stratified_trial(
     total_budget: int,
     seed: int = 0,
     k: int = 3,
+    plan: list[SegmentStrata] | None = None,
 ) -> dict:
-    """Fixed-strata / fixed-allocation stratified-sampling baseline."""
+    """Fixed-strata / fixed-allocation stratified-sampling baseline.
+
+    ``plan`` is :func:`fixed_stratified_plan` of the same stream, built
+    here when not given.
+    """
     f = np.asarray(f, dtype=np.float64)
     pred = np.asarray(pred, dtype=bool)
-    proxy = np.asarray(proxy, dtype=np.float64)
-    boundaries = (
-        FIXED_BOUNDARIES if k == 3 else np.arange(1, k, dtype=np.float64) / k
-    )
     slices = segment_slices(len(f), seg_len)
+    if plan is None:
+        plan = fixed_stratified_plan(proxy, seg_len=seg_len, k=k)
     n_per_segment = max(1, total_budget // len(slices))
     # Fixed even split; remainder goes to the first strata so the full
     # per-segment budget is spent.
@@ -86,19 +100,19 @@ def fixed_stratified_trial(
     per_stratum[: n_per_segment % k] += 1
 
     seg_estimates, cells, oracle_calls = [], [], 0
-    for t, sl in enumerate(slices, start=1):
+    for t, (sl, strata) in enumerate(zip(slices, plan, strict=True), start=1):
         rng = np.random.default_rng([seed, t])
-        strata = assign_strata(proxy[sl], boundaries)
-        cells_t = []
-        for k_ in range(k):
-            members = np.flatnonzero(strata == k_)
-            chosen = uniform_without_replacement(rng, members, per_stratum[k_])
-            cells_t.append(
-                StratumSample(
-                    f=f[sl][chosen], pred=pred[sl][chosen], d_size=len(members)
-                )
+        idx, sample_strata = draw_stratified(rng, strata.members, per_stratum)
+        f_t, pred_t = f[sl][idx], pred[sl][idx]
+        cells_t = [
+            StratumSample(
+                f=f_t[sample_strata == k_],
+                pred=pred_t[sample_strata == k_],
+                d_size=int(size),
             )
-            oracle_calls += len(chosen)
+            for k_, size in enumerate(strata.sizes)
+        ]
+        oracle_calls += len(idx)
         seg_estimates.append(segment_estimate(cells_t))
         cells.extend(cells_t)
     return {

@@ -9,14 +9,18 @@ query estimate.
 
 Per segment ``t``:
 
-1. sample: segment 1 is the *pilot* (uniform draw of the full budget
-   ``N``); later segments stratify by the EWMA-smoothed quantile
-   boundaries and split ``N`` into ``N1`` defensive samples (even across
-   strata) plus ``N2`` dynamically allocated samples, drawing without
-   replacement within each stratum (= reservoir sampling's output law);
-2. update: fold this segment's proxy quantiles into the boundary EWMA
-   (``GetStrata``) and this segment's sample-based allocation estimate
-   into the allocation EWMA (``GetAlloc``), ready for segment ``t + 1``.
+1. stratify: :class:`Stratifier` (``GetStrata``) splits the segment at
+   the EWMA of earlier segments' proxy quantiles (the pilot at its own).
+   Strata read proxy scores only, so :func:`inquest_plan` computes them
+   once per stream for all trials, and a live stream computes them as
+   each segment arrives;
+2. sample: segment 1 is the *pilot* (uniform draw of the full budget
+   ``N``); later segments split ``N`` into ``N1`` defensive samples (even
+   across strata) plus ``N2`` dynamically allocated samples, drawing
+   without replacement within each stratum (= reservoir sampling's
+   output law);
+3. update: fold this segment's sample-based allocation estimate into the
+   allocation EWMA (``GetAlloc``), ready for segment ``t + 1``.
 
 The lesion-study variants of Figure 7 are the ``dynamic_strata`` /
 ``dynamic_alloc`` flags: both off reproduces "stratified sampling with a
@@ -30,14 +34,24 @@ import numpy as np
 
 from .allocation import estimated_allocation, mix_defensive, stratum_stats
 from .estimator import StratumSample, get_prediction, segment_estimate
-from .sampling import (
-    cap_and_redistribute,
-    largest_remainder_round,
-    uniform_without_replacement,
+from .sampling import cap_and_redistribute, draw_stratified, largest_remainder_round
+from .stratify import (
+    Ewma,
+    SegmentStrata,
+    assign_strata,
+    fixed_boundaries,
+    quantile_boundaries,
+    stratify,
 )
-from .stratify import FIXED_BOUNDARIES, Ewma, assign_strata, quantile_boundaries
 
-__all__ = ["InQuestConfig", "InQuestState", "inquest_trial", "segment_slices"]
+__all__ = [
+    "InQuestConfig",
+    "InQuestState",
+    "Stratifier",
+    "inquest_plan",
+    "inquest_trial",
+    "segment_slices",
+]
 
 
 @dataclass(frozen=True)
@@ -62,6 +76,33 @@ class InQuestConfig:
         return self.n_per_segment - self.n1
 
 
+class Stratifier:
+    """``GetStrata`` (Algorithm 2): the strata each segment is sampled with.
+
+    The pilot segment is split at its own proxy quantiles and every later
+    segment at the EWMA of the earlier segments' quantiles; with
+    ``dynamic=False`` every segment uses :func:`fixed_boundaries`.  Only
+    proxy scores are read, so the strata are the same for every trial seed.
+    """
+
+    def __init__(self, k: int, alpha: float, *, dynamic: bool = True) -> None:
+        self.k = k
+        self.dynamic = dynamic
+        self._ewma = Ewma(alpha)
+
+    def next_strata(self, proxy: np.ndarray) -> SegmentStrata:
+        """Strata of the next segment, whose proxy scores are ``proxy``."""
+        if not self.dynamic:
+            return stratify(proxy, fixed_boundaries(self.k))
+        quantiles = quantile_boundaries(proxy, self.k)
+        try:
+            boundaries = np.asarray(self._ewma.value)
+        except ValueError:  # the pilot: no earlier segment yet
+            boundaries = quantiles
+        self._ewma.update(quantiles)
+        return stratify(proxy, boundaries)
+
+
 class InQuestState:
     """Mutable InQuest query state; one instance per running query."""
 
@@ -69,7 +110,9 @@ class InQuestState:
         self.cfg = config
         self.seed = int(seed)
         self.t = 0
-        self._boundary_ewma = Ewma(config.alpha)
+        self._stratifier = Stratifier(
+            config.k, config.alpha, dynamic=config.dynamic_strata
+        )
         self._alloc_ewma = Ewma(config.alpha)
         self.cells: list[StratumSample] = []
         self.last_oracle_calls = 0
@@ -79,13 +122,6 @@ class InQuestState:
         # Seeded by (trial seed, segment index) so the offline kernel and
         # the Structured Streaming path draw identical samples.
         return np.random.default_rng([self.seed, t])
-
-    def _sampling_boundaries(self) -> np.ndarray:
-        if self.cfg.dynamic_strata:
-            return np.asarray(self._boundary_ewma.value)
-        return FIXED_BOUNDARIES[: self.cfg.k - 1] if self.cfg.k == 3 else np.arange(
-            1, self.cfg.k
-        ) / self.cfg.k
 
     def _alloc_fractions(self) -> np.ndarray:
         k = self.cfg.k
@@ -98,13 +134,19 @@ class InQuestState:
         return mix_defensive(dyn, n1=self.cfg.n1, n2=self.cfg.n2, k=k)
 
     def observe_segment(
-        self, f: np.ndarray, pred: np.ndarray, proxy: np.ndarray
+        self,
+        f: np.ndarray,
+        pred: np.ndarray,
+        proxy: np.ndarray,
+        strata: SegmentStrata | None = None,
     ) -> dict:
         """Consume one segment; return its estimate and the running estimate.
 
         ``f``/``pred`` are the *oracle* outputs but are only read at the
         sampled indices (``last_oracle_calls`` counts them); ``proxy`` is
-        read everywhere, matching the paper's cost model.
+        read everywhere, matching the paper's cost model.  ``strata`` are
+        the segment's strata from :func:`inquest_plan`; without them they
+        are computed from ``proxy`` here, as on a live stream.
         """
         t = self.t + 1
         cfg = self.cfg
@@ -112,38 +154,23 @@ class InQuestState:
         f = np.asarray(f, dtype=np.float64)
         pred = np.asarray(pred, dtype=bool)
         proxy = np.asarray(proxy, dtype=np.float64)
-        n_records = len(f)
+        if strata is None:
+            strata = self._stratifier.next_strata(proxy)
+        d_sizes = strata.sizes
 
         if t == 1:
             # Pilot: uniform sample of the whole per-segment budget, then
-            # grouped under the boundaries segment 2 will sample with.
-            idx = uniform_without_replacement(
-                rng, np.arange(n_records), cfg.n_per_segment
-            )
-            boundaries = (
-                quantile_boundaries(proxy, cfg.k)
-                if cfg.dynamic_strata
-                else self._sampling_boundaries()
-            )
-            sample_strata = assign_strata(proxy[idx], boundaries)
+            # grouped under the pilot segment's strata.
+            idx = rng.choice(len(f), size=min(cfg.n_per_segment, len(f)), replace=False)
+            sample_strata = assign_strata(proxy[idx], strata.boundaries)
             budgets = np.bincount(sample_strata, minlength=cfg.k)
         else:
-            boundaries = self._sampling_boundaries()
-            fractions = self._alloc_fractions()
-            strata_all = assign_strata(proxy, boundaries)
-            d_sizes_all = np.bincount(strata_all, minlength=cfg.k)
             budgets = cap_and_redistribute(
-                largest_remainder_round(fractions, cfg.n_per_segment), d_sizes_all
+                largest_remainder_round(self._alloc_fractions(), cfg.n_per_segment),
+                d_sizes,
             )
-            parts = []
-            for k_ in range(cfg.k):
-                members = np.flatnonzero(strata_all == k_)
-                parts.append(uniform_without_replacement(rng, members, budgets[k_]))
-            idx = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-            sample_strata = np.repeat(np.arange(cfg.k), [len(p) for p in parts])
+            idx, sample_strata = draw_stratified(rng, strata.members, budgets)
 
-        strata_all = assign_strata(proxy, boundaries)
-        d_sizes = np.bincount(strata_all, minlength=cfg.k)
         cells_t = [
             StratumSample(
                 f=f[idx[sample_strata == k_]],
@@ -154,8 +181,7 @@ class InQuestState:
         ]
         self.last_oracle_calls = len(idx)
 
-        # -- post-segment updates (used from segment t + 1 on) -------------
-        self._boundary_ewma.update(quantile_boundaries(proxy, cfg.k))
+        # -- post-segment update (used from segment t + 1 on) --------------
         stats = stratum_stats(f[idx], pred[idx], sample_strata, cfg.k)
         a_t = estimated_allocation(d_sizes, stats["p_hat"], stats["sigma_hat"])
         if a_t is not None:
@@ -169,7 +195,7 @@ class InQuestState:
             "running_estimate": get_prediction(self.cells),
             "oracle_calls": self.last_oracle_calls,
             "budgets": budgets,
-            "boundaries": np.asarray(boundaries, dtype=np.float64),
+            "boundaries": strata.boundaries,
         }
 
 
@@ -178,6 +204,26 @@ def segment_slices(n_records: int, seg_len: int) -> list[slice]:
     if seg_len <= 0:
         raise ValueError(f"seg_len must be positive, got {seg_len}")
     return [slice(lo, min(lo + seg_len, n_records)) for lo in range(0, n_records, seg_len)]
+
+
+def inquest_plan(
+    proxy: np.ndarray,
+    *,
+    seg_len: int,
+    k: int = 3,
+    alpha: float = 0.8,
+    dynamic_strata: bool = True,
+) -> list[SegmentStrata]:
+    """Every segment's strata, as :class:`InQuestState` computes them live.
+
+    Seed-independent: one plan serves every trial over the same stream.
+    """
+    proxy = np.asarray(proxy, dtype=np.float64)
+    stratifier = Stratifier(k, alpha, dynamic=dynamic_strata)
+    return [
+        stratifier.next_strata(proxy[sl])
+        for sl in segment_slices(len(proxy), seg_len)
+    ]
 
 
 def inquest_trial(
@@ -193,15 +239,21 @@ def inquest_trial(
     defensive_frac: float = 0.1,
     dynamic_strata: bool = True,
     dynamic_alloc: bool = True,
+    plan: list[SegmentStrata] | None = None,
 ) -> dict:
     """One InQuest trial over a materialised stream.
 
     ``total_budget`` is the query's total oracle budget ``NT``; the
-    per-segment budget is ``NT / T`` as in the paper's sweeps.  Returns
-    per-segment estimates, the final full-query estimate, and the number
-    of oracle calls actually spent.
+    per-segment budget is ``NT / T`` as in the paper's sweeps.  ``plan``
+    is :func:`inquest_plan` of the same stream and knobs, built here when
+    not given.  Returns per-segment estimates, the final full-query
+    estimate, and the number of oracle calls actually spent.
     """
     slices = segment_slices(len(f), seg_len)
+    if plan is None:
+        plan = inquest_plan(
+            proxy, seg_len=seg_len, k=k, alpha=alpha, dynamic_strata=dynamic_strata
+        )
     n_per_segment = max(1, total_budget // len(slices))
     state = InQuestState(
         InQuestConfig(
@@ -215,8 +267,8 @@ def inquest_trial(
         seed=seed,
     )
     seg_estimates, oracle_calls = [], 0
-    for sl in slices:
-        out = state.observe_segment(f[sl], pred[sl], proxy[sl])
+    for sl, strata in zip(slices, plan, strict=True):
+        out = state.observe_segment(f[sl], pred[sl], proxy[sl], strata)
         seg_estimates.append(out["estimate"])
         oracle_calls += out["oracle_calls"]
     return {

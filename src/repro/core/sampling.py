@@ -10,10 +10,13 @@ streaming state machine and for the distribution-equality test.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 __all__ = [
     "uniform_without_replacement",
+    "draw_stratified",
     "reservoir_sample",
     "largest_remainder_round",
     "cap_and_redistribute",
@@ -32,6 +35,20 @@ def uniform_without_replacement(
     if size <= 0:
         return population[:0].copy()
     return rng.choice(population, size=size, replace=False)
+
+
+def draw_stratified(
+    rng: np.random.Generator, members: Sequence[np.ndarray], budgets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``budgets[k]`` of ``members[k]`` for each stratum ``k`` in turn.
+
+    Each stratum's draw is :func:`uniform_without_replacement`, so its
+    cost grows with the budget, not with the stratum.  Returns the drawn
+    elements (stratum 0's first) and the stratum of each.
+    """
+    parts = [uniform_without_replacement(rng, m, b) for m, b in zip(members, budgets)]
+    idx = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    return idx, np.repeat(np.arange(len(parts)), [len(p) for p in parts])
 
 
 def reservoir_sample(

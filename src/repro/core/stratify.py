@@ -17,11 +17,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["quantile_boundaries", "assign_strata", "FIXED_BOUNDARIES", "Ewma"]
+__all__ = [
+    "quantile_boundaries",
+    "assign_strata",
+    "FIXED_BOUNDARIES",
+    "fixed_boundaries",
+    "SegmentStrata",
+    "stratify",
+    "Ewma",
+]
 
 #: The fixed stratification used by the stratified-sampling baseline
 #: (Section 5.1): k1=[0,0.33], k2=[0.33,0.67], k3=[0.67,1.0].
 FIXED_BOUNDARIES = np.array([1 / 3, 2 / 3])
+
+
+def fixed_boundaries(k: int) -> np.ndarray:
+    """Proxy-independent boundaries splitting ``[0, 1]`` into ``k`` strata."""
+    return FIXED_BOUNDARIES if k == 3 else np.arange(1, k, dtype=np.float64) / k
 
 
 def quantile_boundaries(proxy: np.ndarray, k: int) -> np.ndarray:
@@ -44,6 +57,35 @@ def assign_strata(proxy: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
     ties at a quantile boundary fall in the lower stratum.
     """
     return np.searchsorted(np.asarray(boundaries), np.asarray(proxy), side="left")
+
+
+@dataclass(frozen=True)
+class SegmentStrata:
+    """One segment's strata: boundaries and each stratum's member positions.
+
+    ``members[k]`` holds, in ascending order, the positions (within the
+    segment) of the records whose proxy falls in stratum ``k``.  Nothing
+    here depends on which records a trial samples, so it is computed once
+    and shared by every trial over the same stream.
+    """
+
+    boundaries: np.ndarray
+    members: tuple[np.ndarray, ...]
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """``|D_k|`` per stratum."""
+        return np.array([len(m) for m in self.members], dtype=np.int64)
+
+
+def stratify(proxy: np.ndarray, boundaries: np.ndarray) -> SegmentStrata:
+    """Split ``proxy``'s positions into the strata ``boundaries`` define."""
+    boundaries = np.array(boundaries, dtype=np.float64)
+    strata = assign_strata(proxy, boundaries)
+    return SegmentStrata(
+        boundaries,
+        tuple(np.flatnonzero(strata == k) for k in range(len(boundaries) + 1)),
+    )
 
 
 @dataclass

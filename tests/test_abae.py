@@ -1,8 +1,12 @@
 """Tests for the ABae batch comparator."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.abae import abae_trial
+from repro.core.abae import _draw_unused, abae_plan, abae_trial
+from repro.core.inquest import segment_slices
+from repro.core.stratify import assign_strata, quantile_boundaries
 
 
 def toy_stream(n=10_000, seed=0, p=0.6):
@@ -99,3 +103,40 @@ class TestAbaeTrial:
                 abae_trial(f, ones, proxy, seg_len=n, total_budget=120, seed=s)["full_estimate"] - truth
             )
         assert np.mean(np.square(err_a)) < np.mean(np.square(err_u))
+
+
+class TestAbaePlan:
+    @pytest.mark.parametrize(
+        "n,seg_len,k", [(8000, 2000, 3), (5300, 1200, 5), (7, 10, 3)]
+    )
+    def test_matches_per_trial_strata(self, n, seg_len, k):
+        # The reference: what every trial used to recompute.
+        _, _, proxy = toy_stream(n)
+        plan = abae_plan(proxy, seg_len=seg_len, k=k)
+        strata = assign_strata(proxy, quantile_boundaries(proxy, k))
+        for k_, m in enumerate(plan.strata.members):
+            assert np.array_equal(m, np.flatnonzero(strata == k_))
+        expected = [
+            [np.count_nonzero(strata[sl] == k_) for k_ in range(k)]
+            for sl in segment_slices(n, seg_len)
+        ]
+        assert np.array_equal(plan.seg_sizes, expected)
+
+    @given(
+        st.integers(1, 200),
+        st.data(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_draw_unused_equals_choice_over_set_difference(self, m, data, seed):
+        members = np.sort(
+            np.random.default_rng(seed).choice(10 * m, size=m, replace=False)
+        )
+        used = data.draw(st.lists(st.sampled_from(list(members)), unique=True))
+        used = np.array(used, dtype=members.dtype)
+        size = data.draw(st.integers(0, m - len(used)))
+        got = _draw_unused(np.random.default_rng(seed), members, used, size)
+        unused = np.setdiff1d(members, used, assume_unique=True)
+        ref_rng = np.random.default_rng(seed)
+        ref = ref_rng.choice(unused, size=size, replace=False) if size else unused[:0]
+        assert np.array_equal(got, ref)

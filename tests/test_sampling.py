@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.sampling import (
     cap_and_redistribute,
+    draw_stratified,
     largest_remainder_round,
     reservoir_sample,
     uniform_without_replacement,
@@ -56,6 +57,30 @@ class TestUniformWithoutReplacement:
             counts[uniform_without_replacement(rng(s), np.arange(20), 5)] += 1
         freq = counts / 2000
         assert np.all(np.abs(freq - 0.25) < 0.05)
+
+
+class TestDrawStratified:
+    @given(
+        st.lists(st.integers(0, 40), min_size=1, max_size=5),
+        st.lists(st.integers(-2, 60), min_size=5, max_size=5),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_choice_over_each_stratum(self, sizes, budgets, seed):
+        # The reference: choice over each stratum's members in turn, with
+        # the same generator (the loops draw_stratified replaced).
+        members = np.array_split(np.arange(sum(sizes)), np.cumsum(sizes)[:-1])
+        budgets = budgets[: len(sizes)]
+        idx, strata = draw_stratified(rng(seed), members, budgets)
+        ref_rng, ref = rng(seed), []
+        for m, b in zip(members, budgets):
+            if min(b, len(m)) > 0:
+                ref.append(ref_rng.choice(m, size=min(b, len(m)), replace=False))
+            else:
+                ref.append(m[:0])
+        assert np.array_equal(idx, np.concatenate(ref))
+        sizes = [len(r) for r in ref]
+        assert np.array_equal(strata, np.repeat(np.arange(len(ref)), sizes))
 
 
 class TestReservoirSample:

@@ -8,7 +8,9 @@ from repro.core.stratify import (
     FIXED_BOUNDARIES,
     Ewma,
     assign_strata,
+    fixed_boundaries,
     quantile_boundaries,
+    stratify,
 )
 
 
@@ -55,6 +57,28 @@ class TestAssignStrata:
 
     def test_fixed_boundaries_value(self):
         assert np.allclose(FIXED_BOUNDARIES, [1 / 3, 2 / 3])
+
+
+class TestStratify:
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_members_are_the_assigned_positions(self, k):
+        proxy = np.round(np.random.default_rng(5).random(500), 1)  # ties
+        b = quantile_boundaries(proxy, k)
+        s = stratify(proxy, b)
+        strata = assign_strata(proxy, b)
+        assert len(s.members) == k
+        for k_, m in enumerate(s.members):
+            assert np.array_equal(m, np.flatnonzero(strata == k_))
+        assert np.array_equal(s.sizes, np.bincount(strata, minlength=k))
+
+    def test_boundaries_are_a_copy(self):
+        s = stratify(np.random.default_rng(6).random(10), FIXED_BOUNDARIES)
+        s.boundaries[0] = 0.0
+        assert np.allclose(FIXED_BOUNDARIES, [1 / 3, 2 / 3])
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_fixed_boundaries(self, k):
+        assert np.allclose(fixed_boundaries(k), np.arange(1, k) / k)
 
 
 class TestEwma:

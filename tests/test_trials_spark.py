@@ -1,4 +1,6 @@
 """Spark tests for the distributed Monte Carlo trial runner."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -109,14 +111,56 @@ class TestRunTrials:
             outs.append(res.sort_values(["trial", "segment"])["estimate"].to_numpy())
         assert not np.allclose(outs[0], outs[1])
 
-    def test_seg_len_override(self, spark, streams):
-        res = run_trials(
+    @pytest.fixture(scope="class")
+    def seg_len_override(self, spark, streams):
+        return run_trials(
             spark,
             {"archie": streams["archie"]},
-            algorithms=["inquest"],
+            algorithms=["inquest", "uniform", "stratified", "abae"],
             budgets=[400],
             n_trials=1,
-            modes=("pred",),
+            modes=("pred", "nopred"),
             params={"seg_len": 2500},
         ).toPandas()
-        assert res[res.segment >= 0]["segment"].max() == _N // 2500 - 1
+
+    def test_seg_len_override(self, seg_len_override):
+        # Every algorithm re-slices the stream, not only InQuest.
+        last = seg_len_override[seg_len_override.segment >= 0].groupby("algo")[
+            "segment"
+        ].max()
+        assert last.to_dict() == {
+            a: _N // 2500 - 1 for a in ("inquest", "uniform", "stratified", "abae")
+        }
+
+    def test_seg_len_override_truths(self, seg_len_override, streams):
+        # Truths are those of the stream re-sliced at the override length.
+        resliced = dataclasses.replace(streams["archie"], seg_len=2500)
+        for mode, grp in seg_len_override[seg_len_override.segment >= 0].groupby(
+            "mode"
+        ):
+            expected = segment_truths(resliced, predicate=(mode == "pred"))
+            assert np.array_equal(grp["truth"], expected[grp["segment"]])
+
+    def test_seg_len_override_matches_local_kernels(self, seg_len_override, streams):
+        s = streams["archie"]
+        for algo, grp in seg_len_override[seg_len_override["mode"] == "pred"].groupby(
+            "algo"
+        ):
+            local = ALGORITHMS[algo](
+                s.statistic, s.pred, s.proxy, seg_len=2500, total_budget=400, seed=0
+            )
+            grp = grp.sort_values("segment")
+            got = grp["estimate"].to_numpy()
+            assert np.array_equal(got[1:], local["seg_estimates"]), algo
+            assert got[0] == local["full_estimate"], algo
+
+    def test_params_accepted_by_no_algorithm_raise(self, spark, streams):
+        with pytest.raises(ValueError, match="accepted by none"):
+            run_trials(
+                spark,
+                streams,
+                algorithms=["uniform", "abae"],
+                budgets=[100],
+                n_trials=1,
+                params={"alpha": 0.5},
+            )
