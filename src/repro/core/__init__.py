@@ -5,7 +5,7 @@ Submodules follow the paper's decomposition:
 - ``sampling``   — uniform / reservoir draws and budget rounding,
 - ``stratify``   — quantile strata and the EWMA used for dynamic strata,
 - ``allocation`` — Proposition 1's optimal allocation and its estimate,
-- ``estimator``  — per-stratum stats, ``GetPrediction`` and bootstrap CIs,
+- ``estimator``  — per-cell sufficient statistics, ``GetPrediction``, its CI,
 - ``inquest``    — the segment-at-a-time ``InQuestState`` (Algorithms 1-2),
 - ``baselines``  — the two streaming baselines of Section 5.1,
 - ``abae``       — the ABae batch comparator,

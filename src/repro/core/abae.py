@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import estimated_allocation, stratum_stats
-from .estimator import StratumSample, get_prediction, segment_estimate
+from .allocation import estimated_allocation
+from .estimator import cell_stats, get_prediction
 from .inquest import segment_slices
 from .sampling import cap_and_redistribute, draw_stratified, largest_remainder_round
 from .stratify import SegmentStrata, quantile_boundaries, stratify
@@ -87,8 +87,6 @@ def abae_trial(
     ``plan`` is :func:`abae_plan` of the same stream, built here when not
     given.
     """
-    f = np.asarray(f, dtype=np.float64)
-    pred = np.asarray(pred, dtype=bool)
     if plan is None:
         plan = abae_plan(proxy, seg_len=seg_len, k=k)
     members = plan.strata.members
@@ -103,8 +101,8 @@ def abae_trial(
 
     # Allocation estimate from the pilot (optimal |D_k| sqrt(p_k) sigma_k
     # rule); uniform fallback when the pilot is uninformative.
-    stats = stratum_stats(f[pilot_idx], pred[pilot_idx], pilot_strata, k)
-    alloc = estimated_allocation(d_sizes, stats["p_hat"], stats["sigma_hat"])
+    pilot = cell_stats(f[pilot_idx], pred[pilot_idx], pilot_strata, d_sizes)
+    alloc = estimated_allocation(d_sizes, pilot.p_hat, pilot.sigma_hat)
     if alloc is None:
         alloc = np.full(k, 1.0 / k)
 
@@ -114,33 +112,25 @@ def abae_trial(
     stage2 = cap_and_redistribute(
         largest_remainder_round(alloc, stage2_budget), remaining
     )
-    all_idx_by_stratum = []
-    for k_ in range(k):
-        pilot_k = pilot_idx[pilot_strata == k_]
-        drawn = _draw_unused(rng, members[k_], pilot_k, stage2[k_])
-        # Sample reuse: the final estimator sees pilot + stage-2 samples.
-        all_idx_by_stratum.append(np.concatenate([pilot_k, drawn]))
-
-    # Full-query estimate from global strata.
-    global_cells = [
-        StratumSample(f=f[ix], pred=pred[ix], d_size=int(d_sizes[k_]))
-        for k_, ix in enumerate(all_idx_by_stratum)
+    drawn = [
+        _draw_unused(rng, members[k_], pilot_idx[pilot_strata == k_], stage2[k_])
+        for k_ in range(k)
     ]
+    # Sample reuse: the final estimator sees pilot + stage-2 samples (each
+    # cell's pilot draws first, as cell_stats keeps draw order in a cell).
+    idx = np.concatenate([pilot_idx, *drawn])
+    strata = np.concatenate([pilot_strata, np.repeat(np.arange(k), stage2)])
 
-    # Per-segment estimates: restrict the sample to each segment.
-    slices = segment_slices(len(f), seg_len)
-    seg_estimates = []
-    for sl, sizes_t in zip(slices, plan.seg_sizes, strict=True):
-        cells_t = []
-        for ix, size in zip(all_idx_by_stratum, sizes_t):
-            in_seg = ix[(ix >= sl.start) & (ix < sl.stop)]
-            cells_t.append(
-                StratumSample(f=f[in_seg], pred=pred[in_seg], d_size=int(size))
-            )
-        seg_estimates.append(segment_estimate(cells_t))
-
+    # Full-query estimate from global strata; per-segment estimates restrict
+    # the sample to each segment's (segment, stratum) cells.
+    global_cells = cell_stats(f[idx], pred[idx], strata, d_sizes)
+    seg_cells = cell_stats(
+        f[idx], pred[idx], idx // seg_len * k + strata, plan.seg_sizes.ravel()
+    )
     return {
-        "seg_estimates": np.asarray(seg_estimates),
+        "seg_estimates": np.array(
+            [get_prediction(seg_cells[i : i + k]) for i in range(0, len(seg_cells), k)]
+        ),
         "full_estimate": get_prediction(global_cells),
-        "oracle_calls": int(sum(len(ix) for ix in all_idx_by_stratum)),
+        "oracle_calls": len(idx),
     }

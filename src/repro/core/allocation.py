@@ -12,7 +12,6 @@ import numpy as np
 __all__ = [
     "optimal_allocation",
     "optimal_expected_mse",
-    "stratum_stats",
     "estimated_allocation",
     "mix_defensive",
 ]
@@ -65,40 +64,6 @@ def optimal_expected_mse(
         raise ValueError("expected MSE undefined: no stratum has positive rate")
     s = float((d_sizes * np.sqrt(p) * sigma).sum())
     return s * s / (n * p_all * p_all)
-
-
-def stratum_stats(
-    f: np.ndarray, pred: np.ndarray, strata: np.ndarray, k: int
-) -> dict[str, np.ndarray]:
-    """Per-stratum sample statistics from drawn samples (GetAlloc lines 7-11).
-
-    Returns ``n`` (samples drawn), ``n_pos`` (predicate-matching), ``p_hat``,
-    ``mu_hat`` (mean statistic over matching samples, 0 when none), and
-    ``sigma_hat`` (sample std over matching samples, 0 when fewer than 2) —
-    the paper's explicit guard clauses for empty strata.
-    """
-    f = np.asarray(f, dtype=np.float64)
-    pred = np.asarray(pred, dtype=bool)
-    strata = np.asarray(strata)
-    n = np.bincount(strata, minlength=k).astype(np.float64)
-    n_pos = np.bincount(strata[pred], minlength=k).astype(np.float64)
-    sum_f = np.bincount(strata[pred], weights=f[pred], minlength=k)
-    sum_f2 = np.bincount(strata[pred], weights=f[pred] ** 2, minlength=k)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p_hat = np.where(n > 0, n_pos / np.maximum(n, 1), 0.0)
-        mu_hat = np.where(n_pos > 0, sum_f / np.maximum(n_pos, 1), 0.0)
-        var = np.where(
-            n_pos > 1,
-            np.maximum(sum_f2 - n_pos * mu_hat**2, 0.0) / np.maximum(n_pos - 1, 1),
-            0.0,
-        )
-    return {
-        "n": n,
-        "n_pos": n_pos,
-        "p_hat": p_hat,
-        "mu_hat": mu_hat,
-        "sigma_hat": np.sqrt(var),
-    }
 
 
 def estimated_allocation(

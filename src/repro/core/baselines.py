@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .estimator import StratumSample, get_prediction, segment_estimate
+from .estimator import cell_stats, get_prediction
 from .inquest import segment_slices
 from .sampling import draw_stratified
 from .stratify import SegmentStrata, fixed_boundaries, stratify
@@ -41,22 +41,17 @@ def uniform_trial(
     sampling is proxy-free, so it has no plan.
     """
     del proxy
-    f = np.asarray(f, dtype=np.float64)
-    pred = np.asarray(pred, dtype=bool)
     rng = np.random.default_rng([seed, 0])
     size = max(0, min(total_budget, len(f)))
     positions = rng.choice(len(f), size=size, replace=False)
-    slices = segment_slices(len(f), seg_len)
-    cells = []
-    for sl in slices:
-        in_seg = positions[(positions >= sl.start) & (positions < sl.stop)]
-        cells.append(
-            StratumSample(f=f[in_seg], pred=pred[in_seg], d_size=sl.stop - sl.start)
-        )
+    # One cell per segment, so a segment's estimate is the plain mean over
+    # its predicate-matching samples.
+    sizes = [sl.stop - sl.start for sl in segment_slices(len(f), seg_len)]
+    cells = cell_stats(f[positions], pred[positions], positions // seg_len, sizes)
     return {
-        # One cell per segment, so segment_estimate degenerates to the
-        # plain mean over that segment's predicate-matching samples.
-        "seg_estimates": np.array([segment_estimate([c]) for c in cells]),
+        "seg_estimates": np.array(
+            [get_prediction(cells[t : t + 1]) for t in range(len(cells))]
+        ),
         "full_estimate": get_prediction(cells),
         "oracle_calls": len(positions),
     }
@@ -88,8 +83,6 @@ def fixed_stratified_trial(
     ``plan`` is :func:`fixed_stratified_plan` of the same stream, built
     here when not given.
     """
-    f = np.asarray(f, dtype=np.float64)
-    pred = np.asarray(pred, dtype=bool)
     slices = segment_slices(len(f), seg_len)
     if plan is None:
         plan = fixed_stratified_plan(proxy, seg_len=seg_len, k=k)
@@ -99,24 +92,23 @@ def fixed_stratified_trial(
     per_stratum = np.full(k, n_per_segment // k, dtype=np.int64)
     per_stratum[: n_per_segment % k] += 1
 
-    seg_estimates, cells, oracle_calls = [], [], 0
-    for t, (sl, strata) in enumerate(zip(slices, plan, strict=True), start=1):
-        rng = np.random.default_rng([seed, t])
+    positions, labels = [], []
+    for t, (sl, strata) in enumerate(zip(slices, plan, strict=True)):
+        rng = np.random.default_rng([seed, t + 1])
         idx, sample_strata = draw_stratified(rng, strata.members, per_stratum)
-        f_t, pred_t = f[sl][idx], pred[sl][idx]
-        cells_t = [
-            StratumSample(
-                f=f_t[sample_strata == k_],
-                pred=pred_t[sample_strata == k_],
-                d_size=int(size),
-            )
-            for k_, size in enumerate(strata.sizes)
-        ]
-        oracle_calls += len(idx)
-        seg_estimates.append(segment_estimate(cells_t))
-        cells.extend(cells_t)
+        positions.append(sl.start + idx)
+        labels.append(t * k + sample_strata)
+    positions = np.concatenate(positions)
+    cells = cell_stats(
+        f[positions],
+        pred[positions],
+        np.concatenate(labels),
+        np.concatenate([strata.sizes for strata in plan]),
+    )
     return {
-        "seg_estimates": np.asarray(seg_estimates),
+        "seg_estimates": np.array(
+            [get_prediction(cells[i : i + k]) for i in range(0, len(cells), k)]
+        ),
         "full_estimate": get_prediction(cells),
-        "oracle_calls": oracle_calls,
+        "oracle_calls": len(positions),
     }

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import estimated_allocation, mix_defensive, stratum_stats
-from .estimator import StratumSample, get_prediction, segment_estimate
+from .allocation import estimated_allocation, mix_defensive
+from .estimator import CellStats, cell_stats, get_prediction
 from .sampling import cap_and_redistribute, draw_stratified, largest_remainder_round
 from .stratify import (
     Ewma,
@@ -114,8 +114,8 @@ class InQuestState:
             config.k, config.alpha, dynamic=config.dynamic_strata
         )
         self._alloc_ewma = Ewma(config.alpha)
-        self.cells: list[StratumSample] = []
-        self.last_oracle_calls = 0
+        # Every (segment, stratum) cell sampled so far, segment-major.
+        self.cells: CellStats = cell_stats([], [], [], [])
 
     # -- sampling ----------------------------------------------------------
     def _segment_rng(self, t: int) -> np.random.Generator:
@@ -143,16 +143,14 @@ class InQuestState:
         """Consume one segment; return its estimate and the running estimate.
 
         ``f``/``pred`` are the *oracle* outputs but are only read at the
-        sampled indices (``last_oracle_calls`` counts them); ``proxy`` is
-        read everywhere, matching the paper's cost model.  ``strata`` are
+        sampled indices (``oracle_calls`` counts them); ``proxy`` is read
+        everywhere, matching the paper's cost model.  ``strata`` are
         the segment's strata from :func:`inquest_plan`; without them they
         are computed from ``proxy`` here, as on a live stream.
         """
         t = self.t + 1
         cfg = self.cfg
         rng = self._segment_rng(t)
-        f = np.asarray(f, dtype=np.float64)
-        pred = np.asarray(pred, dtype=bool)
         proxy = np.asarray(proxy, dtype=np.float64)
         if strata is None:
             strata = self._stratifier.next_strata(proxy)
@@ -171,29 +169,20 @@ class InQuestState:
             )
             idx, sample_strata = draw_stratified(rng, strata.members, budgets)
 
-        cells_t = [
-            StratumSample(
-                f=f[idx[sample_strata == k_]],
-                pred=pred[idx[sample_strata == k_]],
-                d_size=int(d_sizes[k_]),
-            )
-            for k_ in range(cfg.k)
-        ]
-        self.last_oracle_calls = len(idx)
+        cells_t = cell_stats(f[idx], pred[idx], sample_strata, d_sizes)
 
         # -- post-segment update (used from segment t + 1 on) --------------
-        stats = stratum_stats(f[idx], pred[idx], sample_strata, cfg.k)
-        a_t = estimated_allocation(d_sizes, stats["p_hat"], stats["sigma_hat"])
+        a_t = estimated_allocation(d_sizes, cells_t.p_hat, cells_t.sigma_hat)
         if a_t is not None:
             self._alloc_ewma.update(a_t)
 
-        self.cells.extend(cells_t)
+        self.cells = CellStats.concat([self.cells, cells_t])
         self.t = t
         return {
             "segment": t,
-            "estimate": segment_estimate(cells_t),
+            "estimate": get_prediction(cells_t),
             "running_estimate": get_prediction(self.cells),
-            "oracle_calls": self.last_oracle_calls,
+            "oracle_calls": len(idx),
             "budgets": budgets,
             "boundaries": strata.boundaries,
         }
@@ -266,14 +255,13 @@ def inquest_trial(
         ),
         seed=seed,
     )
-    seg_estimates, oracle_calls = [], 0
-    for sl, strata in zip(slices, plan, strict=True):
-        out = state.observe_segment(f[sl], pred[sl], proxy[sl], strata)
-        seg_estimates.append(out["estimate"])
-        oracle_calls += out["oracle_calls"]
+    seg_estimates = [
+        state.observe_segment(f[sl], pred[sl], proxy[sl], strata)["estimate"]
+        for sl, strata in zip(slices, plan, strict=True)
+    ]
     return {
         "seg_estimates": np.asarray(seg_estimates),
         "full_estimate": get_prediction(state.cells),
-        "oracle_calls": oracle_calls,
+        "oracle_calls": int(state.cells.n.sum()),
         "state": state,
     }

@@ -4,9 +4,9 @@ The paper draws samples from each (segment, stratum) with *reservoir
 sampling* so the oracle is applied uniformly in time without knowing the
 stratum's size in advance.  For a fully materialised stratum the output
 law of reservoir sampling is exactly a uniform draw without replacement,
-so the offline kernels use :func:`uniform_without_replacement`; a true
-one-pass reservoir (:func:`reservoir_sample`) is provided for the
-streaming state machine and for the distribution-equality test.
+so the kernels and the streaming state machine draw uniformly without
+replacement; a true one-pass reservoir (:func:`reservoir_sample`) is
+only the reference of the distribution-equality test.
 """
 from __future__ import annotations
 

@@ -8,8 +8,8 @@ from repro.core.allocation import (
     mix_defensive,
     optimal_allocation,
     optimal_expected_mse,
-    stratum_stats,
 )
+from repro.core.estimator import cell_stats
 
 
 def _random_instance(seed, k=3):
@@ -100,6 +100,8 @@ class TestOptimalExpectedMse:
 
 
 class TestStratumStats:
+    """GetAlloc's per-stratum statistics, from ``cell_stats``."""
+
     def _reference(self, f, pred, strata, k):
         pdf = pd.DataFrame({"f": f, "pred": pred, "s": strata})
         out = {}
@@ -122,29 +124,29 @@ class TestStratumStats:
         f = g.normal(1, 0.5, n)
         pred = g.random(n) < 0.6
         strata = g.integers(0, k, n)
-        stats = stratum_stats(f, pred, strata, k)
+        stats = cell_stats(f, pred, strata, np.full(k, n))
         ref = self._reference(f, pred, strata, k)
         for k_ in range(k):
-            assert stats["n"][k_] == ref[k_]["n"]
-            assert stats["n_pos"][k_] == ref[k_]["n_pos"]
-            assert np.isclose(stats["p_hat"][k_], ref[k_]["p_hat"])
-            assert np.isclose(stats["mu_hat"][k_], ref[k_]["mu_hat"])
-            assert np.isclose(stats["sigma_hat"][k_], ref[k_]["sigma_hat"], atol=1e-9)
+            assert stats.n[k_] == ref[k_]["n"]
+            assert stats.n_pos[k_] == ref[k_]["n_pos"]
+            assert np.isclose(stats.p_hat[k_], ref[k_]["p_hat"])
+            assert np.isclose(stats.mu_hat[k_], ref[k_]["mu_hat"])
+            assert np.isclose(stats.sigma_hat[k_], ref[k_]["sigma_hat"], atol=1e-9)
 
     def test_empty_stratum_guards(self):
         # The paper's explicit "else 0" guard clauses.
-        stats = stratum_stats(
-            np.array([1.0, 2.0]), np.array([True, True]), np.array([0, 0]), 3
+        stats = cell_stats(
+            np.array([1.0, 2.0]), np.array([True, True]), np.array([0, 0]), [10, 10, 10]
         )
-        assert stats["p_hat"][1] == 0.0
-        assert stats["mu_hat"][2] == 0.0
-        assert stats["sigma_hat"][1] == 0.0
+        assert stats.p_hat[1] == 0.0
+        assert stats.mu_hat[2] == 0.0
+        assert stats.sigma_hat[1] == 0.0
 
     def test_single_positive_sample_sigma_zero(self):
-        stats = stratum_stats(
-            np.array([5.0, 1.0]), np.array([True, False]), np.array([0, 0]), 1
+        stats = cell_stats(
+            np.array([5.0, 1.0]), np.array([True, False]), np.array([0, 0]), [10]
         )
-        assert stats["sigma_hat"][0] == 0.0 and stats["mu_hat"][0] == 5.0
+        assert stats.sigma_hat[0] == 0.0 and stats.mu_hat[0] == 5.0
 
 
 class TestEstimatedAllocation:

@@ -3,12 +3,15 @@ import numpy as np
 import pytest
 
 from repro.core.allocation import optimal_allocation
+from repro.core.estimator import CellStats, confidence_interval, get_prediction
 from repro.core.inquest import (
     InQuestConfig,
     InQuestState,
+    inquest_plan,
     inquest_trial,
     segment_slices,
 )
+from repro.datasets.streams import generate
 
 
 def toy_stream(n=10_000, seed=0, p=0.6):
@@ -47,6 +50,17 @@ class TestInQuestState:
         out = state.observe_segment(f, pred, proxy)
         assert out["oracle_calls"] == 120
         assert out["segment"] == 1
+
+    def test_state_is_per_cell_statistics(self):
+        # The query state is K cells of sufficient statistics per segment,
+        # from which the running estimate and the spend are read.
+        f, pred, proxy = toy_stream(6000)
+        state = InQuestState(InQuestConfig(n_per_segment=120, k=4), seed=0)
+        for sl in segment_slices(6000, 2000):
+            out = state.observe_segment(f[sl], pred[sl], proxy[sl])
+        assert isinstance(state.cells, CellStats) and len(state.cells) == 3 * 4
+        assert state.cells.n.sum() == 3 * 120
+        assert get_prediction(state.cells) == out["running_estimate"]
 
     def test_later_segments_spend_full_budget(self):
         f, pred, proxy = toy_stream(6000)
@@ -215,3 +229,26 @@ class TestInQuestTrial:
         realized = out["budgets"] / out["budgets"].sum()
         target = (cfg.n1 / 3 + cfg.n2 * a_star) / cfg.n_per_segment
         assert np.max(np.abs(realized - target)) < 0.15
+
+
+class TestConfidenceInterval:
+    @pytest.mark.parametrize("mode", ["pred", "nopred"])
+    def test_coverage(self, mode):
+        # The paper's Section 3.2 guarantee, checked as coverage over Monte
+        # Carlo trials: the 95% interval from the query state's sufficient
+        # statistics covers the full-query truth in most trials, and is not
+        # so wide that it covers it in (nearly) all of them.
+        stream = generate("archie", n_records=100_000, seg_len=20_000, seed=0)
+        f = stream.statistic
+        pred = stream.pred if mode == "pred" else np.ones(stream.n_records, dtype=bool)
+        truth = f[pred].mean()
+        plan = inquest_plan(stream.proxy, seg_len=stream.seg_len)
+        trials, hits = 200, 0
+        for seed in range(trials):
+            out = inquest_trial(
+                f, pred, stream.proxy, seg_len=stream.seg_len,
+                total_budget=500, seed=seed, plan=plan,
+            )
+            lo, hi = confidence_interval(out["state"].cells)
+            hits += lo <= truth <= hi
+        assert 0.85 <= hits / trials <= 0.99

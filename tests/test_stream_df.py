@@ -1,7 +1,6 @@
 """Spark tests for repro.sparkops.stream_df, verified against DuckDB."""
 import numpy as np
 import pytest
-from pyspark.sql import functions as F
 
 from repro.datasets.streams import DATASET_NAMES, generate, segment_truths
 from repro.oracle import assert_equivalent
@@ -177,40 +176,3 @@ class TestTable2Grouped:
         )
         assert six == one == single
 
-
-class TestProvidedTpchGenerators:
-    """Exercise the provided synth_data + oracle scaffolding end-to-end."""
-
-    def test_lineitem_aggregate_vs_duckdb(self, spark):
-        from repro import synth_data
-
-        li = synth_data.lineitem(spark, sf=0.001)
-        got = li.groupBy("l_returnflag").agg(
-            F.sum("l_quantity").alias("sum_qty"),
-            F.count(F.lit(1)).alias("cnt"),
-        )
-        assert_equivalent(
-            got,
-            "SELECT l_returnflag, sum(l_quantity) AS sum_qty, count(*) AS cnt "
-            "FROM lineitem GROUP BY l_returnflag",
-            lineitem=li,
-        )
-
-    def test_orders_join_vs_duckdb(self, spark):
-        from repro import synth_data
-
-        li = synth_data.lineitem(spark, sf=0.001)
-        o = synth_data.orders(spark, sf=0.001)
-        got = (
-            li.join(o, li.l_orderkey == o.o_orderkey)
-            .groupBy("o_orderpriority")
-            .agg(F.avg("l_extendedprice").alias("avg_price"))
-        )
-        assert_equivalent(
-            got,
-            "SELECT o_orderpriority, avg(l_extendedprice) AS avg_price "
-            "FROM lineitem JOIN orders ON l_orderkey = o_orderkey "
-            "GROUP BY o_orderpriority",
-            lineitem=li,
-            orders=o,
-        )
