@@ -96,6 +96,15 @@ def machine() -> dict:
     }
 
 
+def append_run(path: Path, label: str, fields: dict) -> None:
+    """Append a run, stamped with the commit and machine, to ``path``'s ``runs``."""
+    commit = subprocess.run(["git", "describe", "--always", "--dirty"],
+                            capture_output=True, text=True).stdout.strip() or None
+    doc = json.loads(path.read_text()) if path.exists() else {"runs": []}
+    doc["runs"].append({"label": label, "commit": commit, "machine": machine(), **fields})
+    path.write_text(json.dumps(doc, indent=1) + "\n")
+
+
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--trials", type=int, default=20)
@@ -113,12 +122,7 @@ def main(argv=None) -> None:
               f"{r['trial_ms_p50']:>11.2f}{r['trial_ms_p90']:>11.2f}"
               f"{r['trial_own_plan_ms_p50']:>10.2f}")
     if args.out:
-        commit = subprocess.run(["git", "describe", "--always", "--dirty"],
-                                capture_output=True, text=True).stdout.strip() or None
-        doc = json.loads(args.out.read_text()) if args.out.exists() else {"runs": []}
-        doc["runs"].append({"label": args.label, "commit": commit, "machine": machine(),
-                            "trials": args.trials, "results": rows})
-        args.out.write_text(json.dumps(doc, indent=1) + "\n")
+        append_run(args.out, args.label, {"trials": args.trials, "results": rows})
 
 
 if __name__ == "__main__":

@@ -25,6 +25,19 @@ from repro.sparkops.stream_df import STREAM_SCHEMA, stream_to_arrow
 
 __all__ = ["STREAM_SCHEMA", "write_segment_files", "run_streaming_inquest"]
 
+#: Spark's default checkpoint manager for ``file://`` paths goes through
+#: Hadoop's ``FileContext``, which, without the native Hadoop library, forks
+#: an external command (``chmod`` and the like) for each permission call it
+#: makes on create and rename; a micro-batch makes three metadata-log writes.
+#: The ``FileSystem``-based manager makes fewer such calls and still writes
+#: a temp file, renames it (atomic on a local disk) and writes ``.crc``
+#: checksums.  See DESIGN.md section 7.
+CHECKPOINT_FILE_MANAGER_KEY = "spark.sql.streaming.checkpointFileManagerClass"
+CHECKPOINT_FILE_MANAGER = (
+    "org.apache.spark.sql.execution.streaming.checkpointing."
+    "FileSystemBasedCheckpointFileManager"
+)
+
 
 def write_segment_files(stream: StreamData, directory: str | Path) -> list[Path]:
     """One parquet file per segment, mtimes forcing arrival order."""
@@ -57,6 +70,11 @@ def run_streaming_inquest(
     re-raises the query's own failure, and raises ``TimeoutError`` when
     the backlog is not drained within ``timeout_s``: partial results are
     never returned.
+
+    The query's checkpoint lives in ``source_dir/_checkpoint``, so a second
+    call on the same directory resumes after the last committed batch.  It
+    is written through :data:`CHECKPOINT_FILE_MANAGER` unless the session
+    already names a manager; the session's conf is left as it was found.
     """
     state = InQuestState(config, seed=seed)
     results: list[dict] = []
@@ -79,22 +97,32 @@ def run_streaming_inquest(
         out["source_segment"] = int(segments[0])
         results.append(out)
 
-    query = (
-        spark.readStream.schema(STREAM_SCHEMA)
-        .option("maxFilesPerTrigger", 1)
-        .parquet(str(source_dir))
-        .writeStream.foreachBatch(process_batch)
-        .trigger(availableNow=True)
-        .option(
-            "checkpointLocation",
-            str(Path(source_dir) / "_checkpoint"),
-        )
-        .start()
-    )
+    # A manager the session already names is left in place.  Ours stays set
+    # until the query has terminated: the stream thread creates the file
+    # source's metadata log after start() returns.
+    set_manager = spark.conf.get(CHECKPOINT_FILE_MANAGER_KEY, None) is None
+    if set_manager:
+        spark.conf.set(CHECKPOINT_FILE_MANAGER_KEY, CHECKPOINT_FILE_MANAGER)
     try:
-        finished = query.awaitTermination(timeout_s)
+        query = (
+            spark.readStream.schema(STREAM_SCHEMA)
+            .option("maxFilesPerTrigger", 1)
+            .parquet(str(source_dir))
+            .writeStream.foreachBatch(process_batch)
+            .trigger(availableNow=True)
+            .option(
+                "checkpointLocation",
+                str(Path(source_dir) / "_checkpoint"),
+            )
+            .start()
+        )
+        try:
+            finished = query.awaitTermination(timeout_s)
+        finally:
+            query.stop()
     finally:
-        query.stop()
+        if set_manager:
+            spark.conf.unset(CHECKPOINT_FILE_MANAGER_KEY)
     error = query.exception()
     if error is not None:
         raise error

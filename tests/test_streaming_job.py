@@ -2,8 +2,14 @@
 import numpy as np
 import pyarrow.parquet as pq
 import pytest
+from py4j.protocol import Py4JJavaError
 
-from repro.core.inquest import InQuestConfig, inquest_trial
+from repro.core.inquest import (
+    InQuestConfig,
+    InQuestState,
+    inquest_trial,
+    segment_slices,
+)
 from repro.datasets.streams import generate
 from repro.sparkops.stream_df import (
     STREAM_ARROW_SCHEMA,
@@ -11,12 +17,26 @@ from repro.sparkops.stream_df import (
     stream_to_spark,
 )
 from repro.streaming.job import (
+    CHECKPOINT_FILE_MANAGER_KEY,
     STREAM_SCHEMA,
     run_streaming_inquest,
     write_segment_files,
 )
 
 _N, _SEG = 8_000, 2_000
+_CONFIG = InQuestConfig(n_per_segment=100)
+#: Spark's default manager for ``file://`` checkpoints.
+_FILE_CONTEXT_MANAGER = (
+    "org.apache.spark.sql.execution.streaming.checkpointing."
+    "FileContextBasedCheckpointFileManager"
+)
+
+
+def _drain(spark, source_dir) -> list[dict]:
+    """Drain ``source_dir``; the session's conf must come back untouched."""
+    out = run_streaming_inquest(spark, source_dir, config=_CONFIG, seed=11)
+    assert spark.conf.get(CHECKPOINT_FILE_MANAGER_KEY, None) is None
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +49,11 @@ def source_dir(tmp_path_factory, stream):
     d = tmp_path_factory.mktemp("segments")
     write_segment_files(stream, d)
     return d
+
+
+@pytest.fixture(scope="module")
+def outputs(spark, source_dir):
+    return _drain(spark, source_dir)
 
 
 class TestWriteSegmentFiles:
@@ -72,20 +97,26 @@ class TestWriteSegmentFiles:
 
 
 class TestRunStreamingInquest:
-    @pytest.fixture(scope="class")
-    def outputs(self, spark, source_dir):
-        return run_streaming_inquest(
-            spark, source_dir, config=InQuestConfig(n_per_segment=100), seed=11
-        )
-
     def test_one_batch_per_segment_in_order(self, outputs, stream):
         assert [r["source_segment"] for r in outputs] == list(
             range(stream.n_segments)
         )
 
     def test_bit_identical_to_offline_kernel(self, outputs, stream):
-        # Same seed, same per-segment RNG -> identical estimates: the
+        # Same seed, same per-segment RNG -> identical outputs: the
         # streaming deployment IS the offline algorithm.
+        state = InQuestState(_CONFIG, seed=11)
+        slices = segment_slices(stream.n_records, _SEG)
+        assert len(outputs) == len(slices)
+        for got, sl in zip(outputs, slices):
+            want = state.observe_segment(
+                stream.statistic[sl], stream.pred[sl], stream.proxy[sl]
+            )
+            assert got["estimate"] == want["estimate"]
+            assert got["running_estimate"] == want["running_estimate"]
+            assert got["oracle_calls"] == want["oracle_calls"]
+            assert np.array_equal(got["budgets"], want["budgets"])
+            assert np.array_equal(got["boundaries"], want["boundaries"])
         offline = inquest_trial(
             stream.statistic,
             stream.pred,
@@ -94,8 +125,7 @@ class TestRunStreamingInquest:
             total_budget=100 * stream.n_segments,
             seed=11,
         )
-        got = np.array([r["estimate"] for r in outputs])
-        assert np.allclose(got, offline["seg_estimates"], atol=0, rtol=0)
+        assert [r["estimate"] for r in outputs] == list(offline["seg_estimates"])
 
     def test_running_estimate_monotone_information(self, outputs, stream):
         # The running estimate must end near the full-query truth.
@@ -111,10 +141,56 @@ class TestRunStreamingInquest:
         write_segment_files(stream, tmp_path)
         with pytest.raises(TimeoutError, match="segments processed"):
             run_streaming_inquest(
-                spark,
-                tmp_path,
-                config=InQuestConfig(n_per_segment=100),
-                seed=11,
-                timeout_s=0.05,
+                spark, tmp_path, config=_CONFIG, seed=11, timeout_s=0.05
             )
         assert not spark.streams.active
+        assert spark.conf.get(CHECKPOINT_FILE_MANAGER_KEY, None) is None
+
+
+class TestCheckpoint:
+    def test_every_log_file_has_a_checksum(self, outputs, source_dir):
+        # The checkpoint manager still writes Hadoop's .crc files.
+        for log in ("offsets", "commits", "sources/0"):
+            files = [
+                f
+                for f in (source_dir / "_checkpoint" / log).iterdir()
+                if not f.name.startswith(".")
+            ]
+            assert files
+            for f in files:
+                assert (f.parent / f".{f.name}.crc").is_file()
+
+    def test_restart_resumes_from_offsets(self, spark, tmp_path, stream):
+        staged, source = tmp_path / "staged", tmp_path / "source"
+        files = write_segment_files(stream, staged)
+        source.mkdir()
+        for f in files[:2]:
+            f.rename(source / f.name)  # a rename keeps the later mtimes
+        assert [r["source_segment"] for r in _drain(spark, source)] == [0, 1]
+        for f in files[2:4]:
+            f.rename(source / f.name)
+        assert [r["source_segment"] for r in _drain(spark, source)] == [2, 3]
+        assert _drain(spark, source) == []
+
+    def test_manager_the_session_names_is_kept(
+        self, spark, tmp_path, stream, outputs
+    ):
+        write_segment_files(stream, tmp_path)
+        spark.conf.set(CHECKPOINT_FILE_MANAGER_KEY, _FILE_CONTEXT_MANAGER)
+        try:
+            got = run_streaming_inquest(spark, tmp_path, config=_CONFIG, seed=11)
+            assert spark.conf.get(CHECKPOINT_FILE_MANAGER_KEY) == (
+                _FILE_CONTEXT_MANAGER
+            )
+        finally:
+            spark.conf.unset(CHECKPOINT_FILE_MANAGER_KEY)
+        assert [r["estimate"] for r in got] == [r["estimate"] for r in outputs]
+
+    def test_conf_restored_when_start_raises(self, spark, tmp_path):
+        # A regular file where the checkpoint directory must go.
+        source = tmp_path / "not-a-directory"
+        source.write_text("")
+        with pytest.raises(Py4JJavaError, match="ParentNotDirectoryException"):
+            run_streaming_inquest(spark, source, config=_CONFIG, seed=11)
+        assert not spark.streams.active
+        assert spark.conf.get(CHECKPOINT_FILE_MANAGER_KEY, None) is None
