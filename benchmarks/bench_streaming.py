@@ -22,23 +22,19 @@ from __future__ import annotations
 import argparse
 import os
 import shutil
-import sys
 import tempfile
 import threading
 import time
 from pathlib import Path
 
 import numpy as np
+from bench_kernels import append_run
+from pyspark.sql.streaming import StreamingQueryListener
 
-os.environ.setdefault("SPARK_DRIVER_MEM", "2g")
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "jobs"))
-from _session import get_spark  # noqa: E402
-from bench_kernels import append_run  # noqa: E402
-from pyspark.sql.streaming import StreamingQueryListener  # noqa: E402
-
-from repro.core.inquest import InQuestConfig  # noqa: E402
-from repro.datasets.streams import generate  # noqa: E402
-from repro.streaming.job import (  # noqa: E402
+from repro.core.inquest import InQuestConfig
+from repro.datasets.streams import generate
+from repro.session import get_spark
+from repro.streaming.job import (
     CHECKPOINT_FILE_MANAGER,
     CHECKPOINT_FILE_MANAGER_KEY,
     run_streaming_inquest,
@@ -154,6 +150,7 @@ def main(argv=None) -> None:
     stream = generate("archie", n_records=N_SEGMENTS * SEG_LEN, seg_len=SEG_LEN,
                       seed=args.seed)
     config = InQuestConfig(n_per_segment=BUDGET // N_SEGMENTS)
+    os.environ.setdefault("SPARK_DRIVER_MEM", "2g")
     spark = get_spark("bench-streaming")
     spark.sparkContext.setLogLevel("ERROR")
     work = Path(tempfile.mkdtemp(prefix="bench-streaming-"))

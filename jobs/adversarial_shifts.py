@@ -5,13 +5,9 @@ Usage: python jobs/adversarial_shifts.py [--streams-per-n K] [--trials T]
 from __future__ import annotations
 
 import argparse
-import sys
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
-from _session import get_spark  # noqa: E402
-
-from repro.experiments import adversarial_shifts, dump_results, print_table  # noqa: E402
+from repro.experiments import adversarial_shifts, dump_results, print_table
+from repro.session import get_spark
 
 
 def main() -> None:

@@ -5,13 +5,9 @@ Usage: python jobs/lesion_study.py [--records N] [--trials T]
 from __future__ import annotations
 
 import argparse
-import sys
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
-from _session import get_spark  # noqa: E402
-
-from repro.experiments import dump_results, lesion, load_streams, print_table  # noqa: E402
+from repro.experiments import dump_results, lesion, load_streams, print_table
+from repro.session import get_spark
 
 
 def main() -> None:

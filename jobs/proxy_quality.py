@@ -11,19 +11,15 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import sys
-from pathlib import Path
 
 import numpy as np
 import pandas as pd
 
-sys.path.insert(0, str(Path(__file__).parent))
-from _session import get_spark  # noqa: E402
-
-from repro.datasets.streams import generate, interpolated_proxy  # noqa: E402
-from repro.experiments import dump_results, print_table  # noqa: E402
-from repro.sparkops.metrics import median_segment_rmse  # noqa: E402
-from repro.sparkops.trials import run_trials  # noqa: E402
+from repro.datasets.streams import generate, interpolated_proxy
+from repro.experiments import dump_results, print_table
+from repro.session import get_spark
+from repro.sparkops.metrics import median_segment_rmse
+from repro.sparkops.trials import run_trials
 
 
 def main() -> None:

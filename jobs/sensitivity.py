@@ -10,18 +10,14 @@ Usage: python jobs/sensitivity.py [--records N] [--trials T]
 from __future__ import annotations
 
 import argparse
-import sys
-from pathlib import Path
 
 import pandas as pd
 
-sys.path.insert(0, str(Path(__file__).parent))
-from _session import get_spark  # noqa: E402
-
-from repro.datasets.streams import generate  # noqa: E402
-from repro.experiments import dump_results, print_table  # noqa: E402
-from repro.sparkops.metrics import median_segment_rmse  # noqa: E402
-from repro.sparkops.trials import run_trials  # noqa: E402
+from repro.datasets.streams import generate
+from repro.experiments import dump_results, print_table
+from repro.session import get_spark
+from repro.sparkops.metrics import median_segment_rmse
+from repro.sparkops.trials import run_trials
 
 
 def main() -> None:

@@ -9,16 +9,12 @@ Usage: python jobs/streaming_demo.py [--dataset archie] [--budget 2500]
 from __future__ import annotations
 
 import argparse
-import sys
 import tempfile
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
-from _session import get_spark  # noqa: E402
-
-from repro.core.inquest import InQuestConfig  # noqa: E402
-from repro.datasets.streams import generate, segment_truths  # noqa: E402
-from repro.streaming.job import run_streaming_inquest, write_segment_files  # noqa: E402
+from repro.core.inquest import InQuestConfig
+from repro.datasets.streams import generate, segment_truths
+from repro.session import get_spark
+from repro.streaming.job import run_streaming_inquest, write_segment_files
 
 
 def main() -> None:

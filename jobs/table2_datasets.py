@@ -5,13 +5,9 @@ Usage: python jobs/table2_datasets.py [--records N] [--seg-len L]
 from __future__ import annotations
 
 import argparse
-import sys
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
-from _session import get_spark  # noqa: E402
-
-from repro.experiments import dump_results, load_streams, print_table, table2  # noqa: E402
+from repro.experiments import dump_results, load_streams, print_table, table2
+from repro.session import get_spark
 
 
 def main() -> None:

@@ -5,19 +5,15 @@ Usage: python jobs/table4_predicate.py [--records N] [--trials T]
 from __future__ import annotations
 
 import argparse
-import sys
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
-from _session import get_spark  # noqa: E402
-
-from repro.experiments import (  # noqa: E402
+from repro.experiments import (
     FULL_BUDGETS,
     dump_results,
     load_streams,
     print_table,
     table34,
 )
+from repro.session import get_spark
 
 
 def main() -> None:

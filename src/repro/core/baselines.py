@@ -19,11 +19,11 @@ from __future__ import annotations
 import numpy as np
 
 from .estimator import cell_stats, get_prediction
-from .inquest import segment_slices
+from .inquest import inquest_plan, segment_slices
 from .sampling import draw_stratified
-from .stratify import SegmentStrata, fixed_boundaries, stratify
+from .stratify import SegmentStrata
 
-__all__ = ["uniform_trial", "fixed_stratified_plan", "fixed_stratified_trial"]
+__all__ = ["uniform_trial", "fixed_stratified_trial"]
 
 
 def uniform_trial(
@@ -57,16 +57,6 @@ def uniform_trial(
     }
 
 
-def fixed_stratified_plan(
-    proxy: np.ndarray, *, seg_len: int, k: int = 3
-) -> list[SegmentStrata]:
-    """Every segment's fixed strata; the same for every trial seed."""
-    proxy = np.asarray(proxy, dtype=np.float64)
-    boundaries = fixed_boundaries(k)
-    slices = segment_slices(len(proxy), seg_len)
-    return [stratify(proxy[sl], boundaries) for sl in slices]
-
-
 def fixed_stratified_trial(
     f: np.ndarray,
     pred: np.ndarray,
@@ -80,12 +70,13 @@ def fixed_stratified_trial(
 ) -> dict:
     """Fixed-strata / fixed-allocation stratified-sampling baseline.
 
-    ``plan`` is :func:`fixed_stratified_plan` of the same stream, built
-    here when not given.
+    ``plan`` is the same stream's :func:`~repro.core.inquest.inquest_plan`
+    without dynamic strata (Figure 7's fixed-strata lesion splits every
+    segment at the same boundaries), built here when not given.
     """
     slices = segment_slices(len(f), seg_len)
     if plan is None:
-        plan = fixed_stratified_plan(proxy, seg_len=seg_len, k=k)
+        plan = inquest_plan(proxy, seg_len=seg_len, k=k, dynamic_strata=False)
     n_per_segment = max(1, total_budget // len(slices))
     # Fixed even split; remainder goes to the first strata so the full
     # per-segment budget is spent.

@@ -20,21 +20,19 @@ import numpy as np
 __all__ = [
     "quantile_boundaries",
     "assign_strata",
-    "FIXED_BOUNDARIES",
     "fixed_boundaries",
     "SegmentStrata",
     "stratify",
     "Ewma",
 ]
 
-#: The fixed stratification used by the stratified-sampling baseline
-#: (Section 5.1): k1=[0,0.33], k2=[0.33,0.67], k3=[0.67,1.0].
-FIXED_BOUNDARIES = np.array([1 / 3, 2 / 3])
-
-
 def fixed_boundaries(k: int) -> np.ndarray:
-    """Proxy-independent boundaries splitting ``[0, 1]`` into ``k`` strata."""
-    return FIXED_BOUNDARIES if k == 3 else np.arange(1, k, dtype=np.float64) / k
+    """Proxy-independent boundaries splitting ``[0, 1]`` into ``k`` strata.
+
+    ``k = 3`` gives the stratified-sampling baseline's fixed strata
+    (Section 5.1): k1=[0,0.33], k2=[0.33,0.67], k3=[0.67,1.0].
+    """
+    return np.arange(1, k, dtype=np.float64) / k
 
 
 def quantile_boundaries(proxy: np.ndarray, k: int) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .streams import StreamData, interpolated_proxy
 
-__all__ = ["generate_adversarial", "adversarial_suite"]
+__all__ = ["generate_adversarial"]
 
 _K = 3
 _MU_RANGES = ((0.0, 3.0), (3.0, 6.0), (6.0, 9.0))
@@ -70,18 +70,3 @@ def generate_adversarial(
         seg_len=seg_len,
     )
 
-
-def adversarial_suite(
-    *,
-    streams_per_n: int = 20,
-    n_records: int = 500_000,
-    seg_len: int = 100_000,
-) -> list[StreamData]:
-    """The paper's 100-dataset suite: 20 streams per n_shifts in [1, 5]."""
-    return [
-        generate_adversarial(
-            n_shifts=n, n_records=n_records, seg_len=seg_len, seed=s
-        )
-        for n in range(1, 6)
-        for s in range(streams_per_n)
-    ]

@@ -42,7 +42,6 @@ __all__ = [
     "SPECS",
     "DATASET_NAMES",
     "generate",
-    "beta_for_target_correlation",
     "calibrate_beta",
     "interpolated_proxy",
     "segment_truths",
@@ -122,24 +121,6 @@ def _calibrate_offset(z: np.ndarray, target: float, *, scale: float) -> float:
     return (lo + hi) / 2.0
 
 
-def beta_for_target_correlation(g: np.ndarray, r: float) -> float:
-    """Closed-form ``beta`` so ``corr(beta*g + (1-beta)*U, g) == r``.
-
-    Valid when the proxy has no calibration drift (``gain == 1``): with
-    ``U ~ Uniform(0,1)`` independent of ``g``,
-    ``r = beta*sg / sqrt(beta^2 sg^2 + (1-beta)^2 su^2)``, so
-    ``beta/(1-beta) = r*su / (sg*sqrt(1-r^2))``.
-    """
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"target correlation must be in (0, 1), got {r}")
-    sg = float(np.std(g))
-    if sg <= 0:
-        raise ValueError("statistic is constant; correlation target unreachable")
-    su = 1.0 / np.sqrt(12.0)
-    gamma = r * su / (sg * np.sqrt(1.0 - r * r))
-    return float(gamma / (1.0 + gamma))
-
-
 def calibrate_beta(
     g: np.ndarray,
     gain: np.ndarray,
@@ -150,11 +131,11 @@ def calibrate_beta(
 ) -> float:
     """Bisect ``beta`` so ``corr(beta*g*gain + (1-beta)*u, target)`` hits ``r``.
 
-    Numeric counterpart of :func:`beta_for_target_correlation` for
-    proxies with a calibration-drift ``gain``; ``target`` defaults to
-    ``g`` (the correlation is measured against the signal the proxy is
-    built from) and clamps at ``beta = 1`` when even the noiseless
-    drifting proxy cannot reach the target correlation.
+    ``gain`` is the proxy's calibration drift (``1``: none, the plain
+    :func:`interpolated_proxy`); ``target`` defaults to ``g`` (the
+    correlation is measured against the signal the proxy is built from)
+    and clamps at ``beta = 1`` when even the noiseless drifting proxy
+    cannot reach the target correlation.
     """
     g = np.asarray(g, dtype=np.float64)
     target = g if target is None else np.asarray(target, dtype=np.float64)
@@ -176,16 +157,10 @@ def calibrate_beta(
 
 
 def interpolated_proxy(
-    rng: np.random.Generator,
-    g: np.ndarray,
-    beta: float,
-    *,
-    gain: np.ndarray | float = 1.0,
+    rng: np.random.Generator, g: np.ndarray, beta: float
 ) -> np.ndarray:
-    """Section 5.5's proxy: ``beta*g*gain + (1-beta)*U(0,1)``, min-max [0,1]."""
-    raw = beta * np.asarray(g, dtype=np.float64) * gain + (1.0 - beta) * rng.random(
-        len(g)
-    )
+    """Section 5.5's proxy: ``beta*g + (1-beta)*U(0,1)``, min-max [0,1]."""
+    raw = beta * np.asarray(g, dtype=np.float64) + (1.0 - beta) * rng.random(len(g))
     span = raw.max() - raw.min()
     if span <= 0:
         return np.zeros_like(raw)

@@ -1,8 +1,9 @@
 """Spark-facing layers: stream DataFrames, distributed trials, metrics.
 
-Everything SQL-expressible (ground truth, Table 2 statistics, RMSE and
-geometric-mean aggregation) runs on the DataFrame / Spark SQL API and is
-cross-checked against DuckDB by the test suite; the sequential per-trial
-sampling kernels run as numpy inside Spark tasks, distributed over the
-(dataset x algorithm x budget x trial) grid.
+Table 2's statistics and the RMSE and geometric-mean aggregation run on
+the DataFrame / Spark SQL API; the sequential per-trial sampling kernels
+run as numpy inside Spark tasks, distributed over the
+(dataset x algorithm x budget x trial) grid, next to ground truths
+computed once in numpy on the driver.  The test suite cross-checks the
+SQL aggregates and the truths against DuckDB.
 """

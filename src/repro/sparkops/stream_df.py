@@ -1,4 +1,4 @@
-"""Stream <-> Spark DataFrame bridge and Spark SQL ground-truth queries.
+"""Stream <-> Spark DataFrame bridge and Table 2's Spark SQL statistics.
 
 The canonical stream schema (:data:`STREAM_ARROW_SCHEMA`) is one row per
 record:
@@ -12,9 +12,11 @@ dataset code column, so one ``createDataFrame`` and one grouped aggregate
 serve all of them: one Arrow payload that Spark's executors deserialise
 in parallel, instead of one driver-side local relation per stream.
 
-Ground-truth quantities the evaluation scores against (per-segment
-means, predicate positivity rates, proxy correlation) are computed here
-with DataFrame aggregations so the DuckDB oracle can verify them.
+Table 2's predicate positivity rates and proxy correlations are
+DataFrame aggregations here, which the DuckDB oracle verifies.  The
+ground truths the evaluation scores against are numpy
+(``repro.datasets.streams.segment_truths``); the test suite checks
+``run_trials``' truth column against DuckDB SQL over these tables.
 """
 from __future__ import annotations
 
@@ -34,7 +36,6 @@ __all__ = [
     "stream_to_spark",
     "streams_to_arrow",
     "streams_to_spark",
-    "segment_truth_df",
     "table2_stats_df",
     "table2_grouped_df",
 ]
@@ -95,25 +96,6 @@ def streams_to_spark(
 ) -> DataFrame:
     """:func:`streams_to_arrow` as one Spark DataFrame."""
     return spark.createDataFrame(streams_to_arrow(streams))
-
-
-def segment_truth_df(stream_df: DataFrame, *, predicate: bool) -> DataFrame:
-    """Per-segment ground truth ``mu_t`` via Spark SQL.
-
-    Predicate mode averages the statistic over predicate-matching records
-    (``avg(CASE WHEN pred ...)``); no-predicate mode over all records.
-    Matches ``repro.datasets.streams.segment_truths``.
-    """
-    value = (
-        F.avg(F.when(F.col("pred"), F.col("statistic")))
-        if predicate
-        else F.avg("statistic")
-    )
-    return (
-        stream_df.groupBy("segment")
-        .agg(F.coalesce(value, F.lit(0.0)).alias("truth"))
-        .orderBy("segment")
-    )
 
 
 def _table2_aggs() -> list[Column]:

@@ -22,11 +22,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.abae import abae_plan, abae_trial
-from repro.core.baselines import (
-    fixed_stratified_plan,
-    fixed_stratified_trial,
-    uniform_trial,
-)
+from repro.core.baselines import fixed_stratified_trial, uniform_trial
 from repro.core.inquest import inquest_plan, inquest_trial
 from repro.datasets.streams import StreamData, segment_truths
 
@@ -67,7 +63,9 @@ def _inquest(*, dynamic_strata: bool = True, dynamic_alloc: bool = True) -> Algo
 ALGORITHMS = {
     "inquest": _inquest(),
     "uniform": Algorithm(uniform_trial),
-    "stratified": Algorithm(fixed_stratified_trial, fixed_stratified_plan),
+    "stratified": Algorithm(
+        fixed_stratified_trial, functools.partial(inquest_plan, dynamic_strata=False)
+    ),
     "abae": Algorithm(abae_trial, abae_plan),
     "inquest_fixed_alloc": _inquest(dynamic_alloc=False),
     "inquest_fixed_strata": _inquest(dynamic_strata=False),
@@ -78,13 +76,6 @@ RESULT_SCHEMA = (
     "dataset string, algo string, mode string, budget int, trial int, "
     "segment int, estimate double, truth double"
 )
-
-
-def _full_truth(stream: StreamData, *, predicate: bool) -> float:
-    f, m = stream.statistic, stream.pred
-    if predicate:
-        return float(f[m].mean()) if m.any() else 0.0
-    return float(f.mean())
 
 
 def run_trials(
@@ -125,6 +116,8 @@ def run_trials(
     for name, s in streams.items():
         if seg_len is not None:
             s = dataclasses.replace(s, seg_len=seg_len)
+        # The full query's truth: the stream's truth as one segment.
+        whole = dataclasses.replace(s, seg_len=s.n_records)
         payload[name] = {
             "statistic": s.statistic,
             "pred": s.pred,
@@ -134,7 +127,8 @@ def run_trials(
                 mode: segment_truths(s, predicate=(mode == "pred")) for mode in modes
             },
             "full_truth": {
-                mode: _full_truth(s, predicate=(mode == "pred")) for mode in modes
+                mode: float(segment_truths(whole, predicate=(mode == "pred"))[0])
+                for mode in modes
             },
         }
     bc = spark.sparkContext.broadcast(payload)

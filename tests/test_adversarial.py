@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.datasets.adversarial import adversarial_suite, generate_adversarial
+from repro.datasets.adversarial import generate_adversarial
 
 
 class TestGenerateAdversarial:
@@ -56,15 +56,3 @@ class TestGenerateAdversarial:
         match = s.statistic[s.pred]
         assert match.max() < 9 + 5 * 3 and match.min() > 0 - 5 * 3
 
-
-class TestAdversarialSuite:
-    def test_suite_composition(self):
-        suite = adversarial_suite(streams_per_n=2, n_records=2_000, seg_len=500)
-        assert len(suite) == 10  # 5 shift counts x 2 streams
-        names = {s.name for s in suite}
-        assert len(names) == 10
-
-    def test_full_suite_size_default_params(self):
-        # The paper's 100-dataset construction: 20 per n in [1, 5].
-        suite = adversarial_suite(streams_per_n=20, n_records=100, seg_len=20)
-        assert len(suite) == 100

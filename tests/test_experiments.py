@@ -1,9 +1,14 @@
 """Tests for the shared experiment driver utilities."""
+import importlib.util
 import json
+import os
+import sys
+from pathlib import Path
 
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark import SparkContext
 
 from repro.experiments import FULL_BUDGETS, dump_results, load_streams
 
@@ -62,34 +67,37 @@ class TestDumpResults:
         assert json.loads(path.read_text())["data"][0] == [None]
 
 
-class TestJobsImportable:
-    @pytest.mark.parametrize(
-        "module",
-        [
-            "table2_datasets",
-            "table3_no_predicate",
-            "table4_predicate",
-            "lesion_study",
-            "adversarial_shifts",
-            "sensitivity",
-            "proxy_quality",
-            "cost_savings",
-            "streaming_demo",
-        ],
-    )
-    def test_entrypoint_importable(self, module):
-        # Jobs must at least import and expose main() — guards against
-        # bit-rot in the spark-submit entrypoints without running Spark.
-        import importlib.util
-        import pathlib
-        import sys
+_ROOT = Path(__file__).resolve().parent.parent
+_JOBS = (
+    "table2_datasets",
+    "table3_no_predicate",
+    "table4_predicate",
+    "lesion_study",
+    "adversarial_shifts",
+    "sensitivity",
+    "proxy_quality",
+    "cost_savings",
+    "streaming_demo",
+)
+_ENTRYPOINTS = [*(f"jobs/{job}.py" for job in _JOBS), "benchmarks/bench_streaming.py"]
 
-        jobs = pathlib.Path(__file__).resolve().parent.parent / "jobs"
-        sys.path.insert(0, str(jobs))
+
+class TestJobsImportable:
+    @pytest.mark.parametrize("script", _ENTRYPOINTS, ids=lambda s: Path(s).stem)
+    def test_entrypoint_importable(self, script):
+        # Every entrypoint imports and exposes main() without starting
+        # Spark or touching the environment: the session is built inside
+        # main(), by repro.session.get_spark.  The script's directory goes
+        # on sys.path first, as when Python runs it.
+        path = _ROOT / script
+        env, active = dict(os.environ), SparkContext._active_spark_context
+        sys.path.insert(0, str(path.parent))
         try:
-            spec = importlib.util.spec_from_file_location(module, jobs / f"{module}.py")
+            spec = importlib.util.spec_from_file_location(path.stem, path)
             mod = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(mod)
-            assert callable(mod.main)
         finally:
-            sys.path.remove(str(jobs))
+            sys.path.remove(str(path.parent))
+        assert callable(mod.main)
+        assert dict(os.environ) == env
+        assert SparkContext._active_spark_context is active

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.stratify import (
-    FIXED_BOUNDARIES,
     Ewma,
     assign_strata,
     fixed_boundaries,
@@ -56,7 +55,7 @@ class TestAssignStrata:
         assert np.all(strata == 0)
 
     def test_fixed_boundaries_value(self):
-        assert np.allclose(FIXED_BOUNDARIES, [1 / 3, 2 / 3])
+        assert np.array_equal(fixed_boundaries(3), [1 / 3, 2 / 3])
 
 
 class TestStratify:
@@ -72,9 +71,10 @@ class TestStratify:
         assert np.array_equal(s.sizes, np.bincount(strata, minlength=k))
 
     def test_boundaries_are_a_copy(self):
-        s = stratify(np.random.default_rng(6).random(10), FIXED_BOUNDARIES)
+        boundaries = fixed_boundaries(3)
+        s = stratify(np.random.default_rng(6).random(10), boundaries)
         s.boundaries[0] = 0.0
-        assert np.allclose(FIXED_BOUNDARIES, [1 / 3, 2 / 3])
+        assert np.array_equal(boundaries, [1 / 3, 2 / 3])
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_fixed_boundaries(self, k):

@@ -2,13 +2,12 @@
 import numpy as np
 import pytest
 
-from repro.datasets.streams import DATASET_NAMES, generate, segment_truths
+from repro.datasets.streams import DATASET_NAMES, generate
 from repro.oracle import assert_equivalent
 from repro.experiments import table2
 from repro.sparkops.stream_df import (
     DATASET_CODE,
     STREAM_ARROW_SCHEMA,
-    segment_truth_df,
     stream_to_arrow,
     stream_to_spark,
     streams_to_arrow,
@@ -53,33 +52,6 @@ class TestStreamToSpark:
         back = stream_df.orderBy("record_idx").toPandas()
         assert np.allclose(back["statistic"].to_numpy(), stream.statistic)
         assert np.array_equal(back["pred"].to_numpy(), stream.pred)
-
-
-class TestSegmentTruthDf:
-    @pytest.mark.parametrize("predicate", [True, False])
-    def test_matches_numpy(self, stream, stream_df, predicate):
-        got = segment_truth_df(stream_df, predicate=predicate).toPandas()
-        expected = segment_truths(stream, predicate=predicate)
-        assert np.allclose(got["truth"].to_numpy(), expected)
-
-    def test_against_duckdb_predicate(self, stream, stream_df):
-        assert_equivalent(
-            segment_truth_df(stream_df, predicate=True),
-            """
-            SELECT segment,
-                   coalesce(avg(CASE WHEN pred THEN statistic END), 0.0) AS truth
-            FROM stream GROUP BY segment ORDER BY segment
-            """,
-            stream=stream_to_arrow(stream),
-        )
-
-    def test_against_duckdb_no_predicate(self, stream, stream_df):
-        assert_equivalent(
-            segment_truth_df(stream_df, predicate=False),
-            "SELECT segment, avg(statistic) AS truth FROM stream "
-            "GROUP BY segment ORDER BY segment",
-            stream=stream_to_arrow(stream),
-        )
 
 
 class TestTable2StatsDf:

@@ -2,10 +2,13 @@
 import dataclasses
 
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core.inquest import inquest_trial
 from repro.datasets.streams import generate, segment_truths
+from repro.oracle import assert_equivalent
+from repro.sparkops.stream_df import DATASET_CODE, streams_to_arrow
 from repro.sparkops.trials import ALGORITHMS, run_trials
 
 _N, _SEG = 10_000, 2_000
@@ -56,6 +59,27 @@ class TestRunTrials:
         expected = segment_truths(streams["archie"], predicate=True)
         for seg, grp in pdf.groupby("segment"):
             assert np.allclose(grp["truth"], expected[seg])
+
+    def test_truths_against_duckdb(self, results, streams):
+        # Every segment's truth and the full query's (segment = -1), in
+        # both modes, against DuckDB SQL over the streams' Arrow table.
+        names = pd.DataFrame({DATASET_CODE: range(len(streams)), "dataset": [*streams]})
+        truth = {
+            "pred": "coalesce(avg(CASE WHEN pred THEN statistic END), 0.0)",
+            "nopred": "avg(statistic)",
+        }
+        sql = " UNION ALL ".join(
+            f"SELECT dataset, '{mode}' AS mode, {segment} AS segment, {expr} AS truth "
+            f"FROM stream JOIN names USING ({DATASET_CODE}) GROUP BY {group}"
+            for mode, expr in truth.items()
+            for segment, group in (("segment", "dataset, segment"), ("-1", "dataset"))
+        )
+        assert_equivalent(
+            results.select("dataset", "mode", "segment", "truth").distinct(),
+            sql,
+            stream=streams_to_arrow(streams),
+            names=names,
+        )
 
     def test_matches_local_kernel(self, results, streams):
         # The distributed run must reproduce a local kernel invocation
