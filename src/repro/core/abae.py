@@ -44,8 +44,8 @@ class AbaePlan:
 def abae_plan(proxy: np.ndarray, *, seg_len: int, k: int = 3) -> AbaePlan:
     """Global strata and their per-segment sizes; the same for every trial."""
     proxy = np.asarray(proxy, dtype=np.float64)
-    strata = stratify(proxy, quantile_boundaries(proxy, k))
     edges = [sl.start for sl in segment_slices(len(proxy), seg_len)] + [len(proxy)]
+    strata = stratify(proxy, quantile_boundaries(proxy, k))
     seg_sizes = np.stack(
         [np.diff(np.searchsorted(m, edges)) for m in strata.members], axis=1
     )

@@ -41,12 +41,12 @@ def uniform_trial(
     sampling is proxy-free, so it has no plan.
     """
     del proxy
+    sizes = [sl.stop - sl.start for sl in segment_slices(len(f), seg_len)]
     rng = np.random.default_rng([seed, 0])
     size = max(0, min(total_budget, len(f)))
     positions = rng.choice(len(f), size=size, replace=False)
     # One cell per segment, so a segment's estimate is the plain mean over
     # its predicate-matching samples.
-    sizes = [sl.stop - sl.start for sl in segment_slices(len(f), seg_len)]
     cells = cell_stats(f[positions], pred[positions], positions // seg_len, sizes)
     return {
         "seg_estimates": np.array(

@@ -99,8 +99,10 @@ class Stratifier:
             boundaries = np.asarray(self._ewma.value)
         except ValueError:  # the pilot: no earlier segment yet
             boundaries = quantiles
+        # Before the update: a segment stratify rejects leaves the EWMA as it was.
+        strata = stratify(proxy, boundaries)
         self._ewma.update(quantiles)
-        return stratify(proxy, boundaries)
+        return strata
 
 
 class InQuestState:
@@ -148,6 +150,8 @@ class InQuestState:
         the segment's strata from :func:`inquest_plan`; without them they
         are computed from ``proxy`` here, as on a live stream.
         """
+        if len(f) == 0:
+            raise ValueError("empty segment: no records to estimate from")
         t = self.t + 1
         cfg = self.cfg
         rng = self._segment_rng(t)
@@ -189,9 +193,15 @@ class InQuestState:
 
 
 def segment_slices(n_records: int, seg_len: int) -> list[slice]:
-    """Tumbling-window segment slices; the last may be shorter."""
+    """Tumbling-window segment slices; the last may be shorter.
+
+    Every kernel slices its stream here first, so an empty stream, which
+    has no segment to estimate, raises ``ValueError`` here.
+    """
     if seg_len <= 0:
         raise ValueError(f"seg_len must be positive, got {seg_len}")
+    if n_records <= 0:
+        raise ValueError("empty stream: no records to estimate from")
     return [slice(lo, min(lo + seg_len, n_records)) for lo in range(0, n_records, seg_len)]
 
 

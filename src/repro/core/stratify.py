@@ -20,6 +20,7 @@ import numpy as np
 __all__ = [
     "quantile_boundaries",
     "assign_strata",
+    "check_proxy",
     "fixed_boundaries",
     "SegmentStrata",
     "stratify",
@@ -76,8 +77,24 @@ class SegmentStrata:
         return np.array([len(m) for m in self.members], dtype=np.int64)
 
 
+def check_proxy(proxy: np.ndarray) -> None:
+    """Raise ``ValueError`` if any proxy score is NaN.
+
+    A NaN compares false with every boundary, so :func:`assign_strata`
+    would put it in the top stratum whatever the boundaries are.
+    """
+    n_nan = int(np.isnan(proxy).sum())
+    if n_nan:
+        raise ValueError(f"{n_nan} of {len(proxy)} proxy scores are NaN")
+
+
 def stratify(proxy: np.ndarray, boundaries: np.ndarray) -> SegmentStrata:
-    """Split ``proxy``'s positions into the strata ``boundaries`` define."""
+    """Split ``proxy``'s positions into the strata ``boundaries`` define.
+
+    Every stratified kernel and the live ``InQuestState`` take their strata
+    from here, so NaN proxy scores are rejected here (:func:`check_proxy`).
+    """
+    check_proxy(proxy)
     boundaries = np.array(boundaries, dtype=np.float64)
     strata = assign_strata(proxy, boundaries)
     return SegmentStrata(

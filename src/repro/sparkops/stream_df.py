@@ -26,6 +26,7 @@ from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.pandas.types import from_arrow_schema
 
+from repro.core.stratify import check_proxy
 from repro.datasets.streams import StreamData
 
 __all__ = [
@@ -61,7 +62,11 @@ DATASET_CODE = "dataset_code"
 
 
 def stream_to_arrow(stream: StreamData) -> pa.Table:
-    """Flatten a stream into the canonical record-per-row Arrow table."""
+    """Flatten a stream into the canonical record-per-row Arrow table.
+
+    Raises ``ValueError`` on NaN proxy scores (:func:`check_proxy`).
+    """
+    check_proxy(stream.proxy)
     idx = np.arange(stream.n_records, dtype=np.int64)
     return pa.Table.from_arrays(
         [
@@ -94,8 +99,17 @@ def streams_to_arrow(streams: dict[str, StreamData]) -> pa.Table:
 def streams_to_spark(
     spark: SparkSession, streams: dict[str, StreamData]
 ) -> DataFrame:
-    """:func:`streams_to_arrow` as one Spark DataFrame."""
-    return spark.createDataFrame(streams_to_arrow(streams))
+    """:func:`streams_to_arrow` as one Spark DataFrame, at most one
+    partition per core.
+
+    Above ``spark.sql.execution.arrow.localRelationThreshold`` the table
+    crosses as one partition per Arrow batch (300 for six 500k-record
+    streams), and each partition would cost a Spark task.  ``coalesce``
+    merges them without a shuffle.  A smaller table is a local relation,
+    which already has at most one partition per core.
+    """
+    df = spark.createDataFrame(streams_to_arrow(streams))
+    return df.coalesce(spark.sparkContext.defaultParallelism)
 
 
 def _table2_aggs() -> list[Column]:

@@ -184,9 +184,14 @@ def run_trials(
     # the groupBy, so Spark adds no second shuffle.
     n_cells = len(streams) * len(algorithms)
     n_partitions = min(n_cells, spark.sparkContext.defaultParallelism)
+    # The results, at most a few hundred thousand rows, go to one
+    # partition: it satisfies every groupBy of repro.sparkops.metrics, so
+    # each metric query over the cached results plans no shuffle.  A
+    # repartition, not a coalesce, which would run the trials in one task.
     return (
         spark.createDataFrame(grid)
         .repartition(n_partitions, "dataset", "algo")
         .groupBy("dataset", "algo")
         .applyInPandas(run_task, schema=RESULT_SCHEMA)
+        .repartition(1)
     )

@@ -79,7 +79,11 @@ _JOBS = (
     "cost_savings",
     "streaming_demo",
 )
-_ENTRYPOINTS = [*(f"jobs/{job}.py" for job in _JOBS), "benchmarks/bench_streaming.py"]
+_ENTRYPOINTS = [
+    *(f"jobs/{job}.py" for job in _JOBS),
+    "benchmarks/bench_streaming.py",
+    "benchmarks/bench_paper_scale.py",
+]
 
 
 class TestJobsImportable:

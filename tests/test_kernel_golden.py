@@ -14,7 +14,9 @@ The property tests check, over degenerate streams, that a kernel run
 from a prebuilt plan is bit-identical to one that builds its own, and
 that the live ``InQuestState`` (strata computed as segments arrive)
 matches the offline kernel.  Behaviour on these inputs is pinned, not
-judged: e.g. an all-false predicate still estimates ``0.0``.
+judged: e.g. an all-false predicate still estimates ``0.0``.  Inputs no
+kernel can answer, NaN proxy scores and empty streams, must raise
+``ValueError``.
 """
 import json
 from pathlib import Path
@@ -201,6 +203,70 @@ class TestPlans:
         )
         assert np.array_equal(estimates, offline["seg_estimates"])
         assert a["running_estimate"] == offline["full_estimate"]
+
+
+class TestRejectedInputs:
+    @given(degenerate_streams(), st.data(), st.sampled_from(sorted(ALGORITHMS)))
+    @settings(max_examples=100, deadline=None)
+    def test_nan_proxy_raises(self, stream, data, algo):
+        f, pred, proxy, seg_len, budget, k = stream
+        nan_at = data.draw(
+            st.lists(st.integers(0, len(f) - 1), min_size=1, unique=True)
+        )
+        bad = proxy.copy()
+        bad[nan_at] = np.nan
+        spec = ALGORITHMS[algo]
+        common = dict(seg_len=seg_len, total_budget=budget, seed=0)
+        if spec.plan is None:
+            # Uniform sampling reads no proxy score, so NaN ones change nothing.
+            assert _same(spec(f, pred, bad, **common), spec(f, pred, proxy, **common))
+            return
+        # The count is of the first rejected proxy array: one segment's, or
+        # the whole stream's for ABae's global strata.
+        with pytest.raises(ValueError, match=r"[1-9]\d* of \d+ proxy scores are NaN"):
+            spec(f, pred, bad, k=k, **common)
+        with pytest.raises(ValueError, match="proxy scores are NaN"):
+            spec.plan(bad, seg_len=seg_len, k=k)
+
+    @given(degenerate_streams(), st.data(), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_live_state_rejects_nan_segment_unchanged(self, stream, data, dyn_strata):
+        # A rejected segment leaves the state as it was: the same segment
+        # without NaNs then gives what a state that never saw it gives.
+        f, pred, proxy, seg_len, budget, k = stream
+        slices = segment_slices(len(f), seg_len)
+        bad_t = data.draw(st.integers(0, len(slices) - 1))
+        cfg = InQuestConfig(
+            n_per_segment=max(1, budget // len(slices)), k=k, dynamic_strata=dyn_strata
+        )
+        rejected, clean = InQuestState(cfg, seed=1), InQuestState(cfg, seed=1)
+        for t, sl in enumerate(slices):
+            if t == bad_t:
+                bad = proxy[sl].copy()
+                bad[0] = np.nan
+                with pytest.raises(ValueError, match="1 of .* proxy scores are NaN"):
+                    rejected.observe_segment(f[sl], pred[sl], bad)
+            a = rejected.observe_segment(f[sl], pred[sl], proxy[sl])
+            b = clean.observe_segment(f[sl], pred[sl], proxy[sl])
+            for key in a:
+                assert np.array_equal(a[key], b[key]), key
+
+    @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+    def test_empty_stream_raises(self, algo):
+        empty = np.empty(0)
+        spec = ALGORITHMS[algo]
+        with pytest.raises(ValueError, match="empty stream"):
+            spec(empty, empty.astype(bool), empty, seg_len=SEG_LEN, total_budget=500)
+        if spec.plan is not None:
+            with pytest.raises(ValueError, match="empty stream"):
+                spec.plan(empty, seg_len=SEG_LEN)
+
+    def test_live_state_rejects_empty_segment(self):
+        state = InQuestState(InQuestConfig(n_per_segment=10))
+        empty = np.empty(0)
+        with pytest.raises(ValueError, match="empty segment"):
+            state.observe_segment(empty, empty.astype(bool), empty)
+        assert state.t == 0
 
 
 if __name__ == "__main__":

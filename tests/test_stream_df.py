@@ -1,4 +1,6 @@
 """Spark tests for repro.sparkops.stream_df, verified against DuckDB."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,15 @@ def stream():
 @pytest.fixture(scope="module")
 def stream_df(spark, stream):
     return stream_to_spark(spark, stream).cache()
+
+
+class TestStreamToArrow:
+    def test_nan_proxy_rejected(self, stream):
+        proxy = stream.proxy.copy()
+        proxy[[5, 6_000, 19_999]] = np.nan
+        nan_stream = dataclasses.replace(stream, proxy=proxy)
+        with pytest.raises(ValueError, match=f"3 of {_N} proxy scores are NaN"):
+            stream_to_arrow(nan_stream)
 
 
 class TestStreamToSpark:
@@ -117,6 +128,31 @@ class TestTable2Grouped:
             """,
             streams=streams_to_arrow(streams),
         )
+
+    def test_one_partition_per_core(self, spark, streams):
+        # Above the local-relation threshold the table crosses as one
+        # partition per Arrow batch: 36 here, forced by small confs.
+        # streams_to_spark merges them to at most one per core, and Table 2
+        # stays equal to numpy.
+        confs = {
+            "spark.sql.execution.arrow.localRelationThreshold": "0",
+            "spark.sql.execution.arrow.maxRecordsPerBatch": "1000",
+        }
+        saved = {key: spark.conf.get(key) for key in confs}
+        try:
+            for key, value in confs.items():
+                spark.conf.set(key, value)
+            df = streams_to_spark(spark, streams)
+            assert df.rdd.getNumPartitions() == min(
+                36, spark.sparkContext.defaultParallelism
+            )
+            table = table2(spark, streams)
+        finally:
+            for key, value in saved.items():
+                spark.conf.set(key, value)
+        for row, s in zip(table.itertuples(), streams.values()):
+            r_np = np.corrcoef(s.proxy, np.where(s.pred, s.statistic, 0.0))[0, 1]
+            assert abs(row.p - s.pred.mean()) < 1e-9 and abs(row.r - r_np) < 1e-9
 
     def test_codes_mark_each_stream(self, streams):
         t = streams_to_arrow(streams)

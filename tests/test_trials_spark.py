@@ -8,6 +8,11 @@ import pytest
 from repro.core.inquest import inquest_trial
 from repro.datasets.streams import generate, segment_truths
 from repro.oracle import assert_equivalent
+from repro.sparkops.metrics import (
+    full_query_rmse,
+    geomean_across_datasets,
+    median_segment_rmse,
+)
 from repro.sparkops.stream_df import DATASET_CODE, streams_to_arrow
 from repro.sparkops.trials import ALGORITHMS, run_trials
 
@@ -101,6 +106,23 @@ class TestRunTrials:
         expected = segment_truths(streams["archie"], predicate=False)
         for seg, grp in pdf.groupby("segment"):
             assert np.allclose(grp["truth"], expected[seg])
+
+    def test_results_in_one_partition(self, results):
+        assert results.rdd.getNumPartitions() == 1
+
+    @pytest.mark.parametrize(
+        "metric",
+        [median_segment_rmse, geomean_across_datasets, full_query_rmse],
+        ids=lambda f: f.__name__,
+    )
+    def test_metric_plans_shuffle_nothing(self, results, metric):
+        # One result partition satisfies every groupBy of the metric
+        # queries, so what runs above the cached results has no Exchange.
+        df = metric(results)
+        df.collect()
+        plan = df._jdf.queryExecution().executedPlan().toString()
+        above_cache, scan, _ = plan.partition("InMemoryTableScan")
+        assert scan and "Exchange" not in above_cache, plan
 
     def test_unknown_algorithm_raises(self, spark, streams):
         with pytest.raises(ValueError, match="unknown algorithms"):
