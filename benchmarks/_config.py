@@ -1,6 +1,4 @@
-"""Benchmark scale knobs (env-overridable), shared by bench modules."""
-import os
-
-BENCH_RECORDS = int(os.environ.get("BENCH_RECORDS", 100_000))
+"""Benchmark scale, shared by bench modules."""
+BENCH_RECORDS = 100_000
 BENCH_SEG_LEN = BENCH_RECORDS // 5
-BENCH_TRIALS = int(os.environ.get("BENCH_TRIALS", 50))
+BENCH_TRIALS = 50

@@ -10,6 +10,7 @@ Usage: python jobs/sensitivity.py [--records N] [--trials T]
 from __future__ import annotations
 
 import argparse
+import dataclasses
 
 import pandas as pd
 
@@ -46,18 +47,25 @@ def main() -> None:
         )
         med = median_segment_rmse(res).toPandas()
         rows.append({"sweep": "alpha", "value": alpha, "rmse": float(med["median_rmse"].iloc[0])})
+    # One copy of the stream per T, cut into T segments (the last one
+    # may be shorter); the copies share their arrays.
+    by_t = {}
     for t_segments in (4, 5, 6, 7, 8):
-        res = run_trials(
-            spark,
-            streams,
-            algorithms=["inquest"],
-            budgets=[args.budget],
-            n_trials=args.trials,
-            modes=("nopred",),
-            params={"seg_len": args.records // t_segments},
-        )
-        med = median_segment_rmse(res).toPandas()
-        rows.append({"sweep": "T", "value": t_segments, "rmse": float(med["median_rmse"].iloc[0])})
+        resliced = dataclasses.replace(stream, seg_len=-(-args.records // t_segments))
+        if resliced.n_segments != t_segments:
+            raise ValueError(f"{args.records} records do not make {t_segments} segments")
+        by_t[f"archie-T{t_segments}"] = resliced
+    res = run_trials(
+        spark,
+        by_t,
+        algorithms=["inquest"],
+        budgets=[args.budget],
+        n_trials=args.trials,
+        modes=("nopred",),
+    )
+    med = median_segment_rmse(res).toPandas().set_index("dataset")["median_rmse"]
+    for name, resliced in by_t.items():
+        rows.append({"sweep": "T", "value": resliced.n_segments, "rmse": float(med[name])})
     res = run_trials(
         spark, streams, algorithms=["uniform"], budgets=[args.budget],
         n_trials=args.trials, modes=("nopred",),

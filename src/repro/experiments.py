@@ -9,10 +9,10 @@ returns plain pandas frames ready to print or dump to
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from pathlib import Path
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
@@ -160,31 +160,24 @@ def adversarial_shifts(
     Returns mean median-segment RMSE per (algorithm, n_shifts),
     aggregated over ``streams_per_n`` adversarial streams each.
     """
-    frames = []
-    for n_shifts in range(1, 6):
-        streams = {
-            f"adv-n{n_shifts}-s{s}": generate_adversarial(
-                n_shifts=n_shifts, n_records=n_records, seg_len=seg_len, seed=s
-            )
-            for s in range(streams_per_n)
-        }
-        results = run_trials(
-            spark,
-            streams,
-            algorithms=["uniform", "stratified", "abae", "inquest"],
-            budgets=[budget],
-            n_trials=n_trials,
-            modes=("pred",),
+    streams, n_shifts = {}, {}
+    for n, seed in itertools.product(range(1, 6), range(streams_per_n)):
+        name = f"adv-n{n}-s{seed}"
+        streams[name] = generate_adversarial(
+            n_shifts=n, n_records=n_records, seg_len=seg_len, seed=seed
         )
-        med = median_segment_rmse(results).toPandas()
-        med["n_shifts"] = n_shifts
-        frames.append(med)
-    detail = pd.concat(frames, ignore_index=True)
-    return (
-        detail.groupby(["algo", "n_shifts"])["median_rmse"]
-        .mean()
-        .unstack("n_shifts")
+        n_shifts[name] = n
+    results = run_trials(
+        spark,
+        streams,
+        algorithms=["uniform", "stratified", "abae", "inquest"],
+        budgets=[budget],
+        n_trials=n_trials,
+        modes=("pred",),
     )
+    med = median_segment_rmse(results).toPandas()
+    med["n_shifts"] = med["dataset"].map(n_shifts)
+    return med.groupby(["algo", "n_shifts"])["median_rmse"].mean().unstack("n_shifts")
 
 
 def dump_results(obj: dict[str, pd.DataFrame] | pd.DataFrame, path: str | Path) -> None:

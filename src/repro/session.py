@@ -20,9 +20,9 @@ __all__ = ["get_spark"]
 def get_spark(app_name: str) -> SparkSession:
     """The process's local SparkSession, launching the JVM on first call.
 
-    ``SPARK_MASTER`` (default ``local[*]``), ``SPARK_DRIVER_MEM`` (default
-    ``8g``) and ``SPARK_SHUFFLE_PARTITIONS`` (default 64) are read here;
-    a ``PYSPARK_SUBMIT_ARGS`` already set wins over the first two.
+    ``SPARK_MASTER`` (default ``local[*]``) and ``SPARK_DRIVER_MEM``
+    (default ``8g``) are read here; a ``PYSPARK_SUBMIT_ARGS`` already set
+    wins over both.
     """
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
@@ -34,10 +34,7 @@ def get_spark(app_name: str) -> SparkSession:
     )
     return (
         SparkSession.builder.appName(app_name)
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
+        .config("spark.sql.shuffle.partitions", 64)
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.ui.showConsoleProgress", "false")

@@ -2,8 +2,8 @@
 
 Table 2's statistics and the RMSE and geometric-mean aggregation run on
 the DataFrame / Spark SQL API; the sequential per-trial sampling kernels
-run as numpy inside Spark tasks, distributed over the
-(dataset x algorithm x budget x trial) grid, next to ground truths
-computed once in numpy on the driver.  The test suite cross-checks the
-SQL aggregates and the truths against DuckDB.
+run as numpy inside Spark tasks, one (dataset, algorithm) cell at a
+time, next to ground truths computed once in numpy on the driver.  The
+test suite cross-checks the SQL aggregates and the truths against
+DuckDB.
 """

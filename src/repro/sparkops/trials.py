@@ -2,19 +2,20 @@
 
 The per-trial kernels are sequential (reservoir sampling with state
 carried across segments) so they run as numpy inside Spark tasks:
-``run_trials`` broadcasts the materialised streams once, fans the trial
-grid out with ``applyInPandas`` — one group per (dataset, algorithm) cell,
-which builds the algorithm's seed-independent plan once and runs every
-trial of the cell from it — and returns a long-format DataFrame of
-per-segment (and full-query) estimates next to their ground truths,
-ready for the Spark SQL metric aggregations in ``repro.sparkops.metrics``.
+``run_trials`` broadcasts the materialised streams once and maps
+``mapInPandas`` over a small local relation of (dataset, algorithm)
+cells.  Each cell builds the algorithm's seed-independent plan once and
+runs every (mode, budget, trial) from it; the result is a long-format
+DataFrame of per-segment (and full-query) estimates next to their ground
+truths, ready for the Spark SQL metric aggregations in
+``repro.sparkops.metrics``.
 """
 from __future__ import annotations
 
 import dataclasses
 import functools
 import itertools
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from typing import Any
 
 import numpy as np
@@ -35,8 +36,8 @@ class Algorithm:
 
     ``plan(proxy, seg_len=..., **knobs)`` builds what every trial over one
     stream shares (``None``: nothing to share); the kernel accepts it as
-    ``plan=``.  ``knobs`` are the ``run_trials`` params it accepts besides
-    ``seg_len``, which every algorithm accepts.  Calling an ``Algorithm``
+    ``plan=``.  ``seg_len`` is always the stream's own; ``knobs`` are the
+    ``run_trials`` params the algorithm accepts.  Calling an ``Algorithm``
     calls its kernel, which builds its own plan when given none.
     """
 
@@ -89,23 +90,23 @@ def run_trials(
     params: dict | None = None,
     base_seed: int = 0,
 ) -> DataFrame:
-    """Run the full trial grid on the cluster, one group per (dataset, algorithm).
+    """Run every trial on the cluster, one (dataset, algorithm) cell at a time.
 
-    ``params`` are knobs forwarded to every algorithm that accepts them:
-    ``seg_len`` re-slices every stream into segments of that length (its
-    ground truths included); ``k`` and ``alpha`` reach the InQuest
-    variants only (e.g. ``{"alpha": 0.5}`` for the sensitivity sweep).
-    Each group builds its algorithm's plan for its stream once, inside the
-    executor, and runs every (mode, budget, trial) of its cell from it.
-    Output rows carry ``segment`` in ``[0, T)`` for per-segment estimates
-    and ``segment = -1`` for the full-query estimate, each next to its
-    ground truth.
+    Each stream is cut into segments of its own ``seg_len``; to sweep the
+    segment length, pass re-sliced copies (``dataclasses.replace(stream,
+    seg_len=L)``), whose shared arrays are broadcast once.  ``params`` are
+    knobs forwarded to every algorithm that accepts them: ``k`` and
+    ``alpha`` reach the InQuest variants only (e.g. ``{"alpha": 0.5}`` for
+    the sensitivity sweep).  Each cell builds its algorithm's plan for its
+    stream once, inside the executor, and runs every (mode, budget, trial)
+    from it.  Output rows carry ``segment`` in ``[0, T)`` for per-segment
+    estimates and ``segment = -1`` for the full-query estimate, each next
+    to its ground truth.
     """
     unknown = set(algorithms) - set(ALGORITHMS)
     if unknown:
         raise ValueError(f"unknown algorithms: {sorted(unknown)}")
     params = dict(params or {})
-    seg_len = params.pop("seg_len", None)
     accepted = set().union(*(ALGORITHMS[a].knobs for a in algorithms))
     if set(params) - accepted:
         raise ValueError(
@@ -114,8 +115,6 @@ def run_trials(
         )
     payload = {}
     for name, s in streams.items():
-        if seg_len is not None:
-            s = dataclasses.replace(s, seg_len=seg_len)
         # The full query's truth: the stream's truth as one segment.
         whole = dataclasses.replace(s, seg_len=s.n_records)
         payload[name] = {
@@ -133,13 +132,7 @@ def run_trials(
         }
     bc = spark.sparkContext.broadcast(payload)
 
-    grid = pd.DataFrame(
-        list(itertools.product(streams, algorithms, modes, budgets, range(n_trials))),
-        columns=["dataset", "algo", "mode", "budget", "trial"],
-    )
-
-    def run_task(pdf: pd.DataFrame) -> pd.DataFrame:
-        dataset, algo = pdf["dataset"].iat[0], pdf["algo"].iat[0]
+    def run_cell(dataset: str, algo: str) -> pd.DataFrame:
         d = bc.value[dataset]
         spec = ALGORITHMS[algo]
         kwargs = {"seg_len": d["seg_len"]}
@@ -148,7 +141,7 @@ def run_trials(
             kwargs["plan"] = spec.plan(d["proxy"], **kwargs)
         preds = {"pred": d["pred"], "nopred": np.ones(len(d["pred"]), dtype=bool)}
         out: list[tuple] = []
-        for mode, budget, trial in zip(pdf["mode"], pdf["budget"], pdf["trial"]):
+        for mode, budget, trial in itertools.product(modes, budgets, range(n_trials)):
             res = spec.kernel(
                 d["statistic"],
                 preds[mode],
@@ -178,20 +171,22 @@ def run_trials(
             ],
         )
 
-    # At most one partition per core: each Spark task costs a Python
-    # worker round trip, which outweighs a whole cell's trials once they
-    # run from a plan.  Hash partitioning on the grouping keys satisfies
-    # the groupBy, so Spark adds no second shuffle.
-    n_cells = len(streams) * len(algorithms)
-    n_partitions = min(n_cells, spark.sparkContext.defaultParallelism)
+    def run_cells(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        for batch in batches:
+            for dataset, algo in zip(batch["dataset"], batch["algo"]):
+                yield run_cell(dataset, algo)
+
+    cells = pd.DataFrame(
+        list(itertools.product(streams, algorithms)), columns=["dataset", "algo"]
+    )
+    # A local relation of this size has at most one partition per core,
+    # so each Spark task (a Python worker round trip) runs whole cells.
     # The results, at most a few hundred thousand rows, go to one
     # partition: it satisfies every groupBy of repro.sparkops.metrics, so
     # each metric query over the cached results plans no shuffle.  A
     # repartition, not a coalesce, which would run the trials in one task.
     return (
-        spark.createDataFrame(grid)
-        .repartition(n_partitions, "dataset", "algo")
-        .groupBy("dataset", "algo")
-        .applyInPandas(run_task, schema=RESULT_SCHEMA)
+        spark.createDataFrame(cells)
+        .mapInPandas(run_cells, schema=RESULT_SCHEMA)
         .repartition(1)
     )

@@ -161,16 +161,15 @@ class TestRunTrials:
     def seg_len_override(self, spark, streams):
         return run_trials(
             spark,
-            {"archie": streams["archie"]},
+            {"archie": dataclasses.replace(streams["archie"], seg_len=2500)},
             algorithms=["inquest", "uniform", "stratified", "abae"],
             budgets=[400],
             n_trials=1,
             modes=("pred", "nopred"),
-            params={"seg_len": 2500},
         ).toPandas()
 
     def test_seg_len_override(self, seg_len_override):
-        # Every algorithm re-slices the stream, not only InQuest.
+        # Every algorithm cuts the stream at its own seg_len, not only InQuest.
         last = seg_len_override[seg_len_override.segment >= 0].groupby("algo")[
             "segment"
         ].max()
@@ -201,12 +200,57 @@ class TestRunTrials:
             assert got[0] == local["full_estimate"], algo
 
     def test_params_accepted_by_no_algorithm_raise(self, spark, streams):
-        with pytest.raises(ValueError, match="accepted by none"):
-            run_trials(
+        # A segment length belongs to the stream, so no algorithm takes one.
+        for params in ({"alpha": 0.5}, {"seg_len": 2500}):
+            with pytest.raises(ValueError, match="accepted by none"):
+                run_trials(
+                    spark,
+                    streams,
+                    algorithms=["uniform", "abae"],
+                    budgets=[100],
+                    n_trials=1,
+                    params=params,
+                )
+
+    def test_only_exchange_gathers_the_results(self, spark, streams):
+        # Each task runs whole (dataset, algorithm) cells of a local
+        # relation: the one Exchange moves the results into one partition.
+        df = run_trials(
+            spark,
+            streams,
+            algorithms=["inquest", "uniform"],
+            budgets=[100],
+            n_trials=1,
+            modes=("pred",),
+        )
+        df.collect()
+        plan = df._jdf.queryExecution().executedPlan().toString()
+        exchanges = [line for line in plan.splitlines() if "Exchange" in line]
+        assert exchanges, plan
+        assert all("Exchange SinglePartition" in line for line in exchanges), plan
+
+    def test_one_call_equals_one_call_per_stream(self, spark, streams):
+        # Two of the streams share their arrays and differ only in seg_len.
+        archie = streams["archie"]
+        several = {
+            "archie": archie,
+            "archie-2500": dataclasses.replace(archie, seg_len=2500),
+            "rialto": streams["rialto"],
+        }
+        keys = ["dataset", "algo", "mode", "budget", "trial", "segment"]
+
+        def rows(subset):
+            return run_trials(
                 spark,
-                streams,
-                algorithms=["uniform", "abae"],
-                budgets=[100],
-                n_trials=1,
-                params={"alpha": 0.5},
-            )
+                subset,
+                algorithms=["inquest", "uniform", "stratified", "abae"],
+                budgets=[300],
+                n_trials=2,
+                modes=("pred", "nopred"),
+            ).toPandas()
+
+        together = rows(several).sort_values(keys, ignore_index=True)
+        alone = pd.concat(
+            [rows({name: s}) for name, s in several.items()]
+        ).sort_values(keys, ignore_index=True)
+        assert together.equals(alone)
