@@ -2,8 +2,10 @@
 
 Sweeps the smoothing parameter alpha in [0.5, 0.9] and the tumbling
 window length so the query spans T in [4, 8] segments, on the archie
-dataset with no predicate, comparing against uniform sampling (which is
-invariant to both parameters).
+dataset with no predicate, comparing against uniform sampling.  Uniform
+ignores alpha, but its per-segment budget and segment size follow T, so
+it runs at every T and gives one ``uniform-ref`` row per T; the alpha
+sweep, at T = 5, compares with the T = 5 one.
 
 Usage: python jobs/sensitivity.py [--records N] [--trials T]
 """
@@ -58,20 +60,16 @@ def main() -> None:
     res = run_trials(
         spark,
         by_t,
-        algorithms=["inquest"],
+        algorithms=["inquest", "uniform"],
         budgets=[args.budget],
         n_trials=args.trials,
         modes=("nopred",),
     )
-    med = median_segment_rmse(res).toPandas().set_index("dataset")["median_rmse"]
-    for name, resliced in by_t.items():
-        rows.append({"sweep": "T", "value": resliced.n_segments, "rmse": float(med[name])})
-    res = run_trials(
-        spark, streams, algorithms=["uniform"], budgets=[args.budget],
-        n_trials=args.trials, modes=("nopred",),
-    )
-    med = median_segment_rmse(res).toPandas()
-    rows.append({"sweep": "uniform-ref", "value": float("nan"), "rmse": float(med["median_rmse"].iloc[0])})
+    med = median_segment_rmse(res).toPandas().set_index(["algo", "dataset"])["median_rmse"]
+    for sweep, algo in (("T", "inquest"), ("uniform-ref", "uniform")):
+        for name, resliced in by_t.items():
+            rows.append({"sweep": sweep, "value": resliced.n_segments,
+                         "rmse": float(med[algo, name])})
 
     table = pd.DataFrame(rows)
     print_table("Sensitivity (archie, no predicate, NT=%d)" % args.budget, table)

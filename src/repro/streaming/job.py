@@ -9,6 +9,11 @@ stream as one parquet file per segment with strictly increasing mtimes
 :func:`run_streaming_inquest` executes the query with
 ``maxFilesPerTrigger = 1`` + ``Trigger.AvailableNow`` so each micro-batch
 is exactly one segment, in order.
+
+Spark decides each batch's files, its order, offsets, commits and restart
+point; ``foreachBatch`` then reads the batch's files on the driver
+(:func:`read_batch`) instead of collecting the batch DataFrame, which
+would run a one-task Spark scan job per batch (DESIGN.md section 7).
 """
 from __future__ import annotations
 
@@ -16,14 +21,25 @@ import os
 import time
 from pathlib import Path
 
+import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
-from pyspark.sql import SparkSession
+from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.inquest import InQuestConfig, InQuestState
 from repro.datasets.streams import StreamData
-from repro.sparkops.stream_df import STREAM_SCHEMA, stream_to_arrow
+from repro.sparkops.stream_df import (
+    STREAM_ARROW_SCHEMA,
+    STREAM_SCHEMA,
+    stream_to_arrow,
+)
 
-__all__ = ["STREAM_SCHEMA", "write_segment_files", "run_streaming_inquest"]
+__all__ = [
+    "STREAM_SCHEMA",
+    "write_segment_files",
+    "read_batch",
+    "run_streaming_inquest",
+]
 
 #: Spark's default checkpoint manager for ``file://`` paths goes through
 #: Hadoop's ``FileContext``, which, without the native Hadoop library, forks
@@ -54,6 +70,49 @@ def write_segment_files(stream: StreamData, directory: str | Path) -> list[Path]
     return paths
 
 
+def _batch_files(batch_df: DataFrame) -> list[str]:
+    """URIs of the files Spark planned for one ``foreachBatch`` micro-batch.
+
+    The batch's logical plan is a ``LogicalRDD`` over the executed plan's
+    RDD; its lineage ends in the ``FileScanRDD`` whose partitions name the
+    batch's files.  Walking it is a few Py4J calls and runs no Spark job.
+    (``DataFrame.inputFiles()`` is empty inside ``foreachBatch``.)  Raises
+    ``RuntimeError`` when the lineage holds no file scan.
+    """
+    uris: set[str] = set()
+    stack = [batch_df._jdf.queryExecution().logical().rdd()]
+    while stack:
+        rdd = stack.pop()
+        if rdd.getClass().getSimpleName() == "FileScanRDD":
+            partitions = rdd.filePartitions()
+            for i in range(partitions.size()):
+                uris.update(f.urlEncodedPath() for f in partitions.apply(i).files())
+            continue
+        deps = rdd.dependencies().iterator()
+        while deps.hasNext():
+            stack.append(deps.next().rdd())
+    if not uris:
+        raise RuntimeError("the micro-batch's lineage holds no FileScanRDD")
+    return sorted(uris)
+
+
+def read_batch(batch_df: DataFrame) -> pa.Table:
+    """A micro-batch's rows, read on the driver from its files.
+
+    A file-stream batch holds whole files (byte ranges only split Spark's
+    own scan), so each of :func:`_batch_files` is read whole, cast to
+    :data:`STREAM_ARROW_SCHEMA`, and the rows are sorted by ``record_idx``:
+    the table ``batch_df.toArrow()`` would give, sorted, without the Spark
+    job that scan runs.
+    """
+    tables = []
+    for uri in _batch_files(batch_df):
+        with pq.ParquetFile(uri) as f:
+            tables.append(f.read(columns=STREAM_ARROW_SCHEMA.names))
+    table = pa.concat_tables(tables).cast(STREAM_ARROW_SCHEMA)
+    return table.sort_by("record_idx")
+
+
 def run_streaming_inquest(
     spark: SparkSession,
     source_dir: str | Path,
@@ -65,11 +124,15 @@ def run_streaming_inquest(
     """Execute InQuest over the file stream; return per-batch results.
 
     Each returned dict is ``InQuestState.observe_segment``'s output plus
-    the observed ``segment`` ids of the batch.  Raises if any micro-batch
-    spans more than one segment (would mean file/trigger misconfiguration),
-    re-raises the query's own failure, and raises ``TimeoutError`` when
-    the backlog is not drained within ``timeout_s``: partial results are
-    never returned.
+    the batch's ``source_segment`` id and ``records``, the rows read.
+    Raises if any micro-batch spans more than one segment (would mean
+    file/trigger misconfiguration), re-raises the query's own failure, and
+    raises ``TimeoutError`` when the backlog is not drained within
+    ``timeout_s``: partial results are never returned.
+
+    Each batch is read on the driver by :func:`read_batch`, so Spark scans
+    no rows: the query's progress events report ``numInputRows`` = 0, and
+    ``records`` is where the rows read are counted.
 
     The query's checkpoint lives in ``source_dir/_checkpoint``, so a second
     call on the same directory resumes after the last committed batch.  It
@@ -80,21 +143,22 @@ def run_streaming_inquest(
     results: list[dict] = []
 
     def process_batch(batch_df, batch_id: int) -> None:
-        pdf = batch_df.toPandas().sort_values("record_idx")
-        if pdf.empty:
+        table = read_batch(batch_df)
+        if table.num_rows == 0:
             return
-        segments = pdf["segment"].unique()
+        segments = np.unique(table["segment"].to_numpy())
         if len(segments) != 1:
             raise RuntimeError(
-                f"micro-batch {batch_id} spans segments {sorted(segments)}; "
+                f"micro-batch {batch_id} spans segments {segments.tolist()}; "
                 "expected exactly one tumbling-window segment per batch"
             )
         out = state.observe_segment(
-            pdf["statistic"].to_numpy(),
-            pdf["pred"].to_numpy(),
-            pdf["proxy"].to_numpy(),
+            table["statistic"].to_numpy(),
+            table["pred"].to_numpy(),
+            table["proxy"].to_numpy(),
         )
         out["source_segment"] = int(segments[0])
+        out["records"] = table.num_rows
         results.append(out)
 
     # A manager the session already names is left in place.  Ours stays set

@@ -1,8 +1,12 @@
 """Structured Streaming deployment tests: one micro-batch per segment."""
+import time
+
 import numpy as np
 import pyarrow.parquet as pq
 import pytest
 from py4j.protocol import Py4JJavaError
+from pyspark.errors import StreamingQueryException
+from pyspark.sql.streaming import StreamingQueryListener
 
 from repro.core.inquest import (
     InQuestConfig,
@@ -16,6 +20,7 @@ from repro.sparkops.stream_df import (
     stream_to_arrow,
     stream_to_spark,
 )
+from repro.streaming import job
 from repro.streaming.job import (
     CHECKPOINT_FILE_MANAGER_KEY,
     STREAM_SCHEMA,
@@ -30,6 +35,25 @@ _FILE_CONTEXT_MANAGER = (
     "org.apache.spark.sql.execution.streaming.checkpointing."
     "FileContextBasedCheckpointFileManager"
 )
+
+
+class _RunIds(StreamingQueryListener):
+    """Keeps the run id of every query started while it is registered."""
+
+    def __init__(self) -> None:
+        self.run_ids: list[str] = []
+
+    def onQueryStarted(self, event) -> None:
+        self.run_ids.append(str(event.runId))
+
+    def onQueryProgress(self, event) -> None:
+        pass
+
+    def onQueryIdle(self, event) -> None:
+        pass
+
+    def onQueryTerminated(self, event) -> None:
+        pass
 
 
 def _drain(spark, source_dir) -> list[dict]:
@@ -135,6 +159,36 @@ class TestRunStreamingInquest:
     def test_oracle_calls_respect_budget(self, outputs):
         assert all(r["oracle_calls"] == 100 for r in outputs)
 
+    def test_records_read_per_batch(self, outputs, stream):
+        assert [r["records"] for r in outputs] == [_SEG] * stream.n_segments
+
+    def test_no_spark_job_per_batch(self, spark, tmp_path, stream):
+        # The batch is read on the driver: the stream thread, whose jobs
+        # carry the query's run id as their group, starts no Spark job.
+        listener = _RunIds()
+        spark.streams.addListener(listener)
+        try:
+            write_segment_files(stream, tmp_path)
+            assert len(_drain(spark, tmp_path)) == stream.n_segments
+            deadline = time.monotonic() + 10
+            while not listener.run_ids and time.monotonic() < deadline:
+                time.sleep(0.02)
+        finally:
+            spark.streams.removeListener(listener)
+        (run_id,) = listener.run_ids
+        tracker = spark.sparkContext.statusTracker()
+        assert tracker.getJobIdsForGroup(run_id) == []
+
+    def test_batch_spanning_segments_raises(self, spark, tmp_path, stream):
+        pq.write_table(
+            stream_to_arrow(stream).slice(0, 2 * _SEG),
+            tmp_path / "segment-00000.parquet",
+        )
+        with pytest.raises(StreamingQueryException, match="spans segments"):
+            run_streaming_inquest(spark, tmp_path, config=_CONFIG, seed=11)
+        assert not spark.streams.active
+        assert spark.conf.get(CHECKPOINT_FILE_MANAGER_KEY, None) is None
+
     def test_timeout_raises_instead_of_partial_results(
         self, spark, tmp_path, stream
     ):
@@ -171,6 +225,31 @@ class TestCheckpoint:
             f.rename(source / f.name)
         assert [r["source_segment"] for r in _drain(spark, source)] == [2, 3]
         assert _drain(spark, source) == []
+
+    def test_read_batch_matches_spark_read(
+        self, spark, tmp_path, stream, monkeypatch
+    ):
+        # Both drains of the restart scenario above: the driver-side read
+        # gives the table Spark's own scan of the batch gives, sorted.
+        read = job.read_batch
+        checked = []
+
+        def read_and_compare(batch_df):
+            got = read(batch_df)
+            checked.append(got.equals(batch_df.toArrow().sort_by("record_idx")))
+            return got
+
+        monkeypatch.setattr(job, "read_batch", read_and_compare)
+        staged, source = tmp_path / "staged", tmp_path / "source"
+        files = write_segment_files(stream, staged)
+        source.mkdir()
+        for f in files[:2]:
+            f.rename(source / f.name)
+        assert len(_drain(spark, source)) == 2
+        for f in files[2:4]:
+            f.rename(source / f.name)
+        assert len(_drain(spark, source)) == 2
+        assert checked == [True] * 4
 
     def test_manager_the_session_names_is_kept(
         self, spark, tmp_path, stream, outputs
