@@ -12,7 +12,8 @@ function used before it named its own).  After one untimed warm-up drain,
 the managers run in the order A B B A.  For each manager it records the
 two wall times, p50 and p90 over the 202 micro-batches of each
 ``StreamingQueryProgress.durationMs`` phase, and the process ids allocated
-per micro-batch (the ``/proc/loadavg`` counter; it counts forked commands).
+per micro-batch (the ``/proc/loadavg`` counter; it counts forked commands;
+``None`` when the counter went backwards during a drain).
 Every drain must give the same outputs, or the run fails.  With ``--out``
 the run is appended, with the machine and commit it ran on, to that JSON
 file's ``runs``.
@@ -112,7 +113,9 @@ def drain(spark, stream, config: InQuestConfig, work: Path, manager: str | None)
             spark.conf.unset(CHECKPOINT_FILE_MANAGER_KEY)
         spark.streams.removeListener(listener)
         shutil.rmtree(source, ignore_errors=True)
-    pids = None if pid0 is None or pid1 is None else pid1 - pid0
+    # The counter wraps at pid_max and the kernel may reuse lower ids, so
+    # a counter that went backwards says nothing about the forks.
+    pids = None if pid0 is None or pid1 is None or pid1 < pid0 else pid1 - pid0
     return {"drain_s": drain_s, "pids": pids, "durations": durations, "outputs": outputs}
 
 

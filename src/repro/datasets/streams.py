@@ -105,16 +105,24 @@ class StreamData:
         return -(-self.n_records // self.seg_len)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
+def _sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-x))``, into ``out`` (which may be ``x``)."""
+    out = np.negative(x, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
-def _calibrate_offset(z: np.ndarray, target: float, *, scale: float) -> float:
-    """Bisect the offset ``c`` so ``mean(sigmoid(scale*z + c)) == target``."""
+def _calibrate_offset(z: np.ndarray, target: float) -> float:
+    """Bisect the offset ``c`` so ``mean(sigmoid(z + c)) == target``."""
+    buf = np.empty_like(z)
     lo, hi = -60.0, 60.0
     for _ in range(80):
         mid = (lo + hi) / 2.0
-        if float(_sigmoid(scale * z + mid).mean()) < target:
+        if mid == lo or mid == hi:
+            break  # lo, hi adjacent floats: later steps keep the result
+        np.add(z, mid, out=buf)
+        if float(_sigmoid(buf, buf).mean()) < target:
             lo = mid
         else:
             hi = mid
@@ -138,11 +146,18 @@ def calibrate_beta(
     cannot reach the target correlation.
     """
     g = np.asarray(g, dtype=np.float64)
-    target = g if target is None else np.asarray(target, dtype=np.float64)
+    # Row 0 holds each candidate proxy, row 1 the target: np.corrcoef of
+    # the stack is np.corrcoef(raw, target) without restacking them.
+    xy = np.empty((2, len(g)))
+    xy[1] = g if target is None else target
+    raw, noise = xy[0], np.empty(len(g))
 
     def corr(beta: float) -> float:
-        raw = beta * g * gain + (1.0 - beta) * u
-        return float(np.corrcoef(raw, target)[0, 1])
+        np.multiply(beta, g, out=raw)
+        np.multiply(raw, gain, out=raw)
+        np.multiply(1.0 - beta, u, out=noise)
+        np.add(raw, noise, out=raw)
+        return float(np.corrcoef(xy)[0, 1])
 
     if corr(1.0) <= r:
         return 1.0
@@ -171,9 +186,13 @@ def _latent_mix(
     n: int, *, seed_slow: list, seed_fast: list, slow_tau_const: float = 2.5
 ) -> np.ndarray:
     """Unit-variance mix of slow (tau~n/const) and fast (tau~n/24) AR(1)s."""
-    slow = ar1(n, float(np.exp(-slow_tau_const / n)), seed=seed_slow)
+    mix = ar1(n, float(np.exp(-slow_tau_const / n)), seed=seed_slow)
     fast = ar1(n, float(np.exp(-24.0 / n)), seed=seed_fast)
-    return (slow + _FAST_WEIGHT * fast) / np.sqrt(1.0 + _FAST_WEIGHT**2)
+    fast *= _FAST_WEIGHT
+    mix += fast
+    del fast
+    mix /= np.sqrt(1.0 + _FAST_WEIGHT**2)
+    return mix
 
 
 def generate(
@@ -183,7 +202,13 @@ def generate(
     seg_len: int = 100_000,
     seed: int = 0,
 ) -> StreamData:
-    """Materialise one named stream deterministically in ``(name, seed)``."""
+    """Materialise one named stream deterministically in ``(name, seed)``.
+
+    Every full-length intermediate is built in place and dropped after
+    its last use (DESIGN.md §2 lists the steps); the arithmetic and the
+    random draws are the same, in the same order, as the plain
+    expressions in the comments, so the bits are too.
+    """
     spec = SPECS[name]
     rng = np.random.default_rng([spec.seed, seed])
     n = n_records
@@ -193,26 +218,38 @@ def generate(
     # positivity drift is slower (tau ~ n) than the magnitude/proxy
     # drift: real predicates (a car is present) change regime over hours
     # while magnitudes and proxy calibration wander faster.
+    # pred = U(0,1) < sigmoid(_PRED_SCALE * z + c)
     z = _latent_mix(
         n,
         seed_slow=[spec.seed, seed, 1],
         seed_fast=[spec.seed, seed, 2],
         slow_tau_const=1.0,
     )
-    c = _calibrate_offset(z, spec.p, scale=_PRED_SCALE)
-    pred = rng.random(n) < _sigmoid(_PRED_SCALE * z + c)
+    z *= _PRED_SCALE
+    z += _calibrate_offset(z, spec.p)
+    pred = rng.random(n) < _sigmoid(z, z)
+    del z
 
     y = _latent_mix(n, seed_slow=[spec.seed, seed, 3], seed_fast=[spec.seed, seed, 4])
     if spec.kind == "count":
         # Object count: 1 + Poisson with AR(1)-modulated intensity, masked
         # by the predicate (count == 0 <=> predicate false).
-        lam = spec.mean_rate * np.log1p(np.exp(y))
-        statistic = np.where(pred, (1.0 + rng.poisson(lam)) / _COUNT_SCALE, 0.0)
+        # statistic = where(pred, (1 + Poisson(rate * log1p(exp(y)))) / 10, 0)
+        np.exp(y, out=y)
+        np.log1p(y, out=y)
+        y *= spec.mean_rate
+        counts = rng.poisson(y)
+        statistic = np.add(counts, 1.0, out=y)
+        del counts, y
+        statistic /= _COUNT_SCALE
+        np.copyto(statistic, 0.0, where=~pred)
         pred = statistic > 0
     elif spec.kind == "sentiment":
         # Sentiment in (0, 1); the is-customer predicate is the separate
         # Bernoulli process above.
-        statistic = _sigmoid(1.2 * y)
+        y *= 1.2
+        statistic = _sigmoid(y, y)
+        del y
     else:  # pragma: no cover - specs are a closed set
         raise ValueError(f"unknown stream kind {spec.kind!r}")
 
@@ -224,40 +261,70 @@ def generate(
     # (fasttext "mentions candidate positively") carries both the
     # predicate and the sentiment, so its base signal keeps a sentiment
     # component on non-matching tweets too.
-    masked = statistic * pred
+    # masked01 = masked / max(masked), masked = statistic * pred;
+    # g01 likewise of base (= masked for the count streams).
+    masked01 = _scale_to_max(statistic * pred)
     if spec.kind == "sentiment":
-        base = statistic * (0.5 + 0.5 * pred)
+        g01 = 0.5 * pred
+        g01 += 0.5
+        g01 *= statistic
+        g01 = _scale_to_max(g01)
     else:
-        base = masked
-    g01 = base / base.max() if base.max() > 0 else base
-    masked01 = masked / masked.max() if masked.max() > 0 else masked
-    drift_latent = ar1(n, float(np.exp(-2.5 / n)), seed=[spec.seed, seed, 5])
+        g01 = masked01
+    drift_rho = float(np.exp(-2.5 / n))
+    drift_seed = [spec.seed, seed, 5]
+    # gain = exp(_PROXY_DRIFT * drift_latent)
+    gain = ar1(n, drift_rho, seed=drift_seed)
+    gain *= _PROXY_DRIFT
+    np.exp(gain, out=gain)
     u = np.random.default_rng([spec.seed, seed, 6]).random(n)
-    gain = np.exp(_PROXY_DRIFT * drift_latent)
     beta = calibrate_beta(g01, gain, u, spec.r, target=masked01)
     if beta >= 1.0:
         # Even the noiseless drifting proxy misses the correlation target
         # for this realisation: shrink the calibration drift until the
         # target is reachable, then keep beta = 1 (no additive noise).
+        drift_latent = ar1(n, drift_rho, seed=drift_seed)
         lo, hi = 0.0, _PROXY_DRIFT
         for _ in range(40):
             mid = (lo + hi) / 2.0
-            gm = np.exp(mid * drift_latent)
-            if float(np.corrcoef(g01 * gm, masked01)[0, 1]) < spec.r:
+            # corr(g01 * exp(mid * drift_latent), masked01)
+            np.multiply(mid, drift_latent, out=gain)
+            np.exp(gain, out=gain)
+            gain *= g01
+            if float(np.corrcoef(gain, masked01)[0, 1]) < spec.r:
                 hi = mid
             else:
                 lo = mid
-        gain = np.exp(lo * drift_latent)
+        np.multiply(lo, drift_latent, out=gain)
+        del drift_latent
+        np.exp(gain, out=gain)
         beta = calibrate_beta(g01, gain, u, spec.r, target=masked01)
-    raw = beta * g01 * gain + (1.0 - beta) * u
-    proxy = (raw - raw.min()) / (raw.max() - raw.min())
+    # proxy = min-max normalised beta * g01 * gain + (1 - beta) * u
+    proxy = np.multiply(beta, g01)
+    del g01, masked01
+    proxy *= gain
+    del gain
+    u *= 1.0 - beta
+    proxy += u
+    del u
+    lo, hi = proxy.min(), proxy.max()
+    proxy -= lo
+    proxy /= hi - lo
     return StreamData(
         name=name,
-        statistic=statistic.astype(np.float64),
-        pred=pred.astype(bool),
+        statistic=statistic.astype(np.float64, copy=False),
+        pred=pred.astype(bool, copy=False),
         proxy=proxy,
         seg_len=seg_len,
     )
+
+
+def _scale_to_max(x: np.ndarray) -> np.ndarray:
+    """``x / x.max()`` in place, or ``x`` unchanged if its max is not > 0."""
+    top = x.max()
+    if top > 0:
+        x /= top
+    return x
 
 
 def segment_truths(stream: StreamData, *, predicate: bool) -> np.ndarray:

@@ -10,7 +10,9 @@ Streams cross into Spark as Arrow tables built straight from the numpy
 arrays.  Several streams cross as one concatenated table with an integer
 dataset code column, so one ``createDataFrame`` and one grouped aggregate
 serve all of them: one Arrow payload that Spark's executors deserialise
-in parallel, instead of one driver-side local relation per stream.
+in parallel, instead of one driver-side local relation per stream.  That
+table (:data:`TABLE2_ARROW_SCHEMA`) carries only the columns Table 2
+aggregates, not the record index and segment.
 
 Table 2's predicate positivity rates and proxy correlations are
 DataFrame aggregations here, which the DuckDB oracle verifies.  The
@@ -33,6 +35,7 @@ __all__ = [
     "STREAM_ARROW_SCHEMA",
     "STREAM_SCHEMA",
     "DATASET_CODE",
+    "TABLE2_ARROW_SCHEMA",
     "stream_to_arrow",
     "stream_to_spark",
     "streams_to_arrow",
@@ -60,6 +63,16 @@ STREAM_SCHEMA = from_arrow_schema(STREAM_ARROW_SCHEMA)
 #: string per record on the way in, for a handful of distinct values.
 DATASET_CODE = "dataset_code"
 
+#: :func:`streams_to_arrow`'s schema: the columns Table 2 reads.
+TABLE2_ARROW_SCHEMA = pa.schema(
+    [
+        (DATASET_CODE, pa.int32()),
+        STREAM_ARROW_SCHEMA.field("statistic"),
+        STREAM_ARROW_SCHEMA.field("pred"),
+        STREAM_ARROW_SCHEMA.field("proxy"),
+    ]
+)
+
 
 def stream_to_arrow(stream: StreamData) -> pa.Table:
     """Flatten a stream into the canonical record-per-row Arrow table.
@@ -86,13 +99,22 @@ def stream_to_spark(spark: SparkSession, stream: StreamData) -> DataFrame:
 
 
 def streams_to_arrow(streams: dict[str, StreamData]) -> pa.Table:
-    """All streams in one table; :data:`DATASET_CODE` ``i`` marks the rows
-    of the ``i``-th stream of ``streams``."""
+    """All streams in one :data:`TABLE2_ARROW_SCHEMA` table;
+    :data:`DATASET_CODE` ``i`` marks the rows of the ``i``-th stream of
+    ``streams``.
+
+    Raises ``ValueError`` on NaN proxy scores (:func:`check_proxy`).
+    """
     tables = []
     for code, stream in enumerate(streams.values()):
-        table = stream_to_arrow(stream)
-        codes = np.full(len(table), code, dtype=np.int32)
-        tables.append(table.append_column(DATASET_CODE, pa.array(codes)))
+        check_proxy(stream.proxy)
+        codes = np.full(stream.n_records, code, dtype=np.int32)
+        tables.append(
+            pa.Table.from_arrays(
+                [codes, stream.statistic, stream.pred, stream.proxy],
+                schema=TABLE2_ARROW_SCHEMA,
+            )
+        )
     return pa.concat_tables(tables)
 
 

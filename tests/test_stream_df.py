@@ -9,7 +9,7 @@ from repro.oracle import assert_equivalent
 from repro.experiments import table2
 from repro.sparkops.stream_df import (
     DATASET_CODE,
-    STREAM_ARROW_SCHEMA,
+    TABLE2_ARROW_SCHEMA,
     stream_to_arrow,
     stream_to_spark,
     streams_to_arrow,
@@ -155,11 +155,26 @@ class TestTable2Grouped:
             assert abs(row.p - s.pred.mean()) < 1e-9 and abs(row.r - r_np) < 1e-9
 
     def test_codes_mark_each_stream(self, streams):
+        # Only the columns Table 2 reads cross into Spark: no record index
+        # or segment.
         t = streams_to_arrow(streams)
+        assert t.schema == TABLE2_ARROW_SCHEMA
         codes = t.column(DATASET_CODE).to_numpy()
         sizes = [s.n_records for s in streams.values()]
         assert np.array_equal(codes, np.repeat(np.arange(len(streams)), sizes))
-        assert t.drop_columns([DATASET_CODE]).schema == STREAM_ARROW_SCHEMA
+        for name in ("statistic", "pred", "proxy"):
+            assert np.array_equal(
+                t.column(name).to_numpy(),
+                np.concatenate([getattr(s, name) for s in streams.values()]),
+            )
+
+    def test_nan_proxy_rejected(self, streams):
+        name, s = next(iter(streams.items()))
+        proxy = s.proxy.copy()
+        proxy[0] = np.nan
+        bad = {**streams, name: dataclasses.replace(s, proxy=proxy)}
+        with pytest.raises(ValueError, match="proxy scores are NaN"):
+            streams_to_arrow(bad)
 
     def test_spark_jobs_do_not_grow_with_streams(self, spark, streams):
         # One grouped query over six streams costs the Spark jobs of one

@@ -3,6 +3,7 @@ import dataclasses
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 from repro.core.inquest import inquest_trial
@@ -13,7 +14,7 @@ from repro.sparkops.metrics import (
     geomean_across_datasets,
     median_segment_rmse,
 )
-from repro.sparkops.stream_df import DATASET_CODE, streams_to_arrow
+from repro.sparkops.stream_df import DATASET_CODE, stream_to_arrow
 from repro.sparkops.trials import ALGORITHMS, run_trials
 
 _N, _SEG = 10_000, 2_000
@@ -79,10 +80,16 @@ class TestRunTrials:
             for mode, expr in truth.items()
             for segment, group in (("segment", "dataset, segment"), ("-1", "dataset"))
         )
+        stream = pa.concat_tables(
+            stream_to_arrow(s).append_column(
+                DATASET_CODE, pa.array(np.full(s.n_records, code, dtype=np.int32))
+            )
+            for code, s in enumerate(streams.values())
+        )
         assert_equivalent(
             results.select("dataset", "mode", "segment", "truth").distinct(),
             sql,
-            stream=streams_to_arrow(streams),
+            stream=stream,
             names=names,
         )
 
