@@ -16,11 +16,13 @@ from pathlib import Path
 import pandas as pd
 from pyspark.sql import SparkSession
 
+from repro.core.cost import T4_COST_MODEL
 from repro.datasets.adversarial import generate_adversarial
 from repro.datasets.streams import DATASET_NAMES, SPECS, StreamData, generate
 from repro.sparkops.metrics import (
-    full_query_rmse,
-    geomean_across_datasets,
+    CELL,
+    KEY,
+    collect_metrics,
     median_segment_rmse,
     summary_table,
 )
@@ -37,6 +39,7 @@ __all__ = [
     "table2",
     "table34",
     "lesion",
+    "evaluate",
     "adversarial_shifts",
     "dump_results",
     "print_table",
@@ -44,6 +47,12 @@ __all__ = [
 
 #: The paper's oracle-budget sweep: 500..5000 step 500.
 FULL_BUDGETS = tuple(range(500, 5001, 500))
+#: Tables 3 and 4's algorithms.
+TABLE34_ALGORITHMS = ("uniform", "stratified", "abae", "inquest")
+#: Figure 7's InQuest variants; full InQuest is their reference.
+LESION_VARIANTS = ("inquest_fixed_alloc", "inquest_fixed_strata", "stratified_pilot")
+#: The budgets Tables 3 and 4 print, and the lesion study's sweep.
+TABLE_BUDGETS = (500, 2500, 5000)
 
 
 @functools.lru_cache(maxsize=4)
@@ -93,7 +102,7 @@ def table34(
     mode: str,
     budgets: tuple[int, ...] = FULL_BUDGETS,
     n_trials: int = 200,
-    highlight_budgets: tuple[int, ...] = (500, 2500, 5000),
+    highlight_budgets: tuple[int, ...] = TABLE_BUDGETS,
 ) -> dict[str, pd.DataFrame]:
     """Tables 3 (mode='nopred') / 4 (mode='pred') plus backing detail.
 
@@ -104,24 +113,19 @@ def table34(
     results = run_trials(
         spark,
         streams,
-        algorithms=["uniform", "stratified", "abae", "inquest"],
+        algorithms=list(TABLE34_ALGORITHMS),
         budgets=list(budgets),
         n_trials=n_trials,
         modes=(mode,),
-    ).cache()
-    geo = geomean_across_datasets(results).toPandas()
-    summary = summary_table(geo, mode=mode, highlight_budgets=highlight_budgets)
-    per_dataset = median_segment_rmse(results).toPandas()
-    full_query = full_query_rmse(results).toPandas()
-    results.unpersist()
-    return {"summary": summary, "per_dataset": per_dataset, "full_query": full_query}
+    )
+    return _table34(collect_metrics(results), mode, highlight_budgets)
 
 
 def lesion(
     spark: SparkSession,
     streams: dict[str, StreamData],
     *,
-    budgets: tuple[int, ...] = (500, 2500, 5000),
+    budgets: tuple[int, ...] = TABLE_BUDGETS,
     n_trials: int = 200,
 ) -> pd.DataFrame:
     """Figure 7's lesion study as a table (no-predicate queries).
@@ -132,18 +136,80 @@ def lesion(
     results = run_trials(
         spark,
         streams,
-        algorithms=[
-            "inquest",
-            "inquest_fixed_alloc",
-            "inquest_fixed_strata",
-            "stratified_pilot",
-        ],
+        algorithms=["inquest", *LESION_VARIANTS],
         budgets=list(budgets),
         n_trials=n_trials,
         modes=("nopred",),
     )
-    geo = geomean_across_datasets(results).toPandas()
-    return summary_table(geo, mode="nopred", highlight_budgets=budgets)
+    return _lesion(collect_metrics(results), budgets)
+
+
+def evaluate(
+    spark: SparkSession, streams: dict[str, StreamData], *, n_trials: int = 200
+) -> dict:
+    """Tables 3 and 4, the lesion table and archie's cost table from one run.
+
+    The Table 3/4 algorithms run in both modes at ``FULL_BUDGETS``; the
+    lesion variants only where a table reads them (no predicate,
+    ``TABLE_BUDGETS``), and full InQuest's rows are Table 3's.  The
+    metric plan over both trial sets is one Spark action, and every
+    table is a slice of its frame.
+    """
+    run = functools.partial(run_trials, spark, streams, n_trials=n_trials)
+    table34_trials = run(
+        algorithms=list(TABLE34_ALGORITHMS), budgets=list(FULL_BUDGETS), modes=("nopred", "pred")
+    )
+    lesion_trials = run(
+        algorithms=list(LESION_VARIANTS), budgets=list(TABLE_BUDGETS), modes=("nopred",)
+    )
+    # Each side is one partition: coalescing the union needs no shuffle,
+    # and the metric plan above it no Exchange.
+    frame = collect_metrics(table34_trials.unionByName(lesion_trials).coalesce(1))
+    return {
+        "table3": _table34(frame, "nopred", TABLE_BUDGETS),
+        "table4": _table34(frame, "pred", TABLE_BUDGETS),
+        "lesion": _lesion(frame, TABLE_BUDGETS),
+        "cost": _cost(frame, streams["archie"].n_records),
+    }
+
+
+def _table34(frame: pd.DataFrame, mode: str, highlight_budgets) -> dict[str, pd.DataFrame]:
+    rows = frame.query("mode == @mode and algo in @TABLE34_ALGORITHMS")
+    return {
+        "summary": summary_table(
+            rows.drop_duplicates(CELL), mode=mode, highlight_budgets=highlight_budgets
+        ),
+        "per_dataset": rows[[*KEY, "median_rmse"]].reset_index(drop=True),
+        "full_query": rows[[*KEY, "full_query_rmse"]]
+        .rename(columns={"full_query_rmse": "rmse"})
+        .reset_index(drop=True),
+    }
+
+
+def _lesion(frame: pd.DataFrame, budgets) -> pd.DataFrame:
+    # Only the lesion budgets: "All" is the geometric mean over them.
+    algos = ["inquest", *LESION_VARIANTS]
+    rows = frame.query("mode == 'nopred' and algo in @algos and budget in @budgets")
+    return summary_table(rows.drop_duplicates(CELL), mode="nopred", highlight_budgets=budgets)
+
+
+def _cost(frame: pd.DataFrame, n_records: int) -> pd.DataFrame:
+    """Figure 9's T4 cost model next to Table 3's archie rows.
+
+    Proxy-based methods pay the proxy on every record plus the oracle on
+    the sampled records; uniform sampling pays only the oracle.
+    """
+    rows = frame.query(
+        "dataset == 'archie' and mode == 'nopred' and algo in @TABLE34_ALGORITHMS"
+    )[["algo", "budget", "median_rmse"]].reset_index(drop=True)
+    calls = [
+        {"oracle_calls": b, "proxy_calls": 0 if a == "uniform" else n_records}
+        for a, b in zip(rows["algo"], rows["budget"])
+    ]
+    return rows.assign(
+        gpu_seconds=[T4_COST_MODEL.query_seconds(**c) for c in calls],
+        dollars=[T4_COST_MODEL.query_dollars(**c) for c in calls],
+    )
 
 
 def adversarial_shifts(
@@ -170,7 +236,7 @@ def adversarial_shifts(
     results = run_trials(
         spark,
         streams,
-        algorithms=["uniform", "stratified", "abae", "inquest"],
+        algorithms=list(TABLE34_ALGORITHMS),
         budgets=[budget],
         n_trials=n_trials,
         modes=("pred",),
@@ -193,8 +259,9 @@ def dump_results(obj: dict[str, pd.DataFrame] | pd.DataFrame, path: str | Path) 
     path.write_text(json.dumps(payload, indent=2, default=str))
 
 
-def print_table(title: str, table: pd.DataFrame) -> None:
-    """Human-readable table block for job stdout."""
-    print(f"\n== {title} ==")
+def print_table(title: str, table: pd.DataFrame) -> str:
+    """Print a human-readable table block for job stdout; return its text."""
     with pd.option_context("display.width", 160, "display.float_format", "{:.4f}".format):
-        print(table)
+        text = f"\n== {title} ==\n{table}\n"
+    print(text, end="")
+    return text

@@ -182,9 +182,10 @@ def run_trials(
     # A local relation of this size has at most one partition per core,
     # so each Spark task (a Python worker round trip) runs whole cells.
     # The results, at most a few hundred thousand rows, go to one
-    # partition: it satisfies every groupBy of repro.sparkops.metrics, so
-    # each metric query over the cached results plans no shuffle.  A
-    # repartition, not a coalesce, which would run the trials in one task.
+    # partition: it satisfies both groupings and the window of
+    # repro.sparkops.metrics, so the metric plan above it shuffles
+    # nothing.  A repartition, not a coalesce, which would run the trials
+    # in one task.
     return (
         spark.createDataFrame(cells)
         .mapInPandas(run_cells, schema=RESULT_SCHEMA)

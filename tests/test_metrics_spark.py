@@ -8,6 +8,7 @@ from repro.sparkops.metrics import (
     full_query_rmse,
     geomean_across_datasets,
     median_segment_rmse,
+    metrics,
     rmse_by_segment,
     summary_table,
 )
@@ -154,6 +155,59 @@ class TestFullQueryRmse:
             """,
             results=results_pdf,
         )
+
+
+class TestMetrics:
+    def test_against_duckdb(self, results_df, results_pdf):
+        # Every column of the one plan, the windowed geometric mean
+        # included, against the three metrics written as separate SQL.
+        assert_equivalent(
+            metrics(results_df),
+            """
+            WITH seg AS (
+              SELECT dataset, algo, mode, budget, segment,
+                     sqrt(avg(pow(estimate - truth, 2))) AS rmse
+              FROM results WHERE segment >= 0
+              GROUP BY dataset, algo, mode, budget, segment
+            ), med AS (
+              SELECT dataset, algo, mode, budget, median(rmse) AS median_rmse
+              FROM seg GROUP BY dataset, algo, mode, budget
+            ), full_query AS (
+              SELECT dataset, algo, mode, budget,
+                     sqrt(avg(pow(estimate - truth, 2))) AS full_query_rmse
+              FROM results WHERE segment = -1
+              GROUP BY dataset, algo, mode, budget
+            ), geo AS (
+              SELECT algo, mode, budget, exp(avg(ln(median_rmse))) AS geomean_rmse
+              FROM med GROUP BY algo, mode, budget
+            )
+            SELECT * FROM med
+            JOIN full_query USING (dataset, algo, mode, budget)
+            JOIN geo USING (algo, mode, budget)
+            """,
+            results=results_pdf,
+        )
+
+    @pytest.mark.parametrize(
+        "metric, other_aggregate",
+        [
+            (median_segment_rmse, "max("),
+            (geomean_across_datasets, "max("),
+            (full_query_rmse, "percentile("),
+        ],
+        ids=["median_segment_rmse", "geomean_across_datasets", "full_query_rmse"],
+    )
+    def test_projections_prune_what_they_do_not_read(
+        self, results_df, metric, other_aggregate
+    ):
+        # A caller of one metric pays for that one: Catalyst drops the
+        # window and the other aggregate of the one plan.
+        plan = metric(results_df)._jdf.queryExecution().optimizedPlan().toString()
+        assert "Window" not in plan and other_aggregate not in plan, plan
+
+    def test_one_plan_holds_every_metric(self, results_df):
+        plan = metrics(results_df)._jdf.queryExecution().optimizedPlan().toString()
+        assert all(op in plan for op in ("Window", "max(", "percentile(")), plan
 
 
 class TestSummaryTable:

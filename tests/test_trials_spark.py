@@ -13,6 +13,7 @@ from repro.sparkops.metrics import (
     full_query_rmse,
     geomean_across_datasets,
     median_segment_rmse,
+    metrics,
 )
 from repro.sparkops.stream_df import DATASET_CODE, stream_to_arrow
 from repro.sparkops.trials import ALGORITHMS, run_trials
@@ -119,12 +120,13 @@ class TestRunTrials:
 
     @pytest.mark.parametrize(
         "metric",
-        [median_segment_rmse, geomean_across_datasets, full_query_rmse],
+        [median_segment_rmse, geomean_across_datasets, full_query_rmse, metrics],
         ids=lambda f: f.__name__,
     )
     def test_metric_plans_shuffle_nothing(self, results, metric):
-        # One result partition satisfies every groupBy of the metric
-        # queries, so what runs above the cached results has no Exchange.
+        # One result partition satisfies every groupBy and the window of
+        # the metric plans, so what runs above the cached results has no
+        # Exchange.
         df = metric(results)
         df.collect()
         plan = df._jdf.queryExecution().executedPlan().toString()
