@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro.experiments import adversarial_shifts, dump_results, print_table
+from repro.experiments import adversarial_shifts, dump_results
 from repro.session import get_spark
 
 
@@ -17,7 +17,6 @@ def main() -> None:
     ap.add_argument("--streams-per-n", type=int, default=4)
     ap.add_argument("--budget", type=int, default=2500)
     ap.add_argument("--trials", type=int, default=100)
-    ap.add_argument("--out", default="results/adversarial.json")
     args = ap.parse_args()
 
     spark = get_spark("adversarial")
@@ -29,9 +28,9 @@ def main() -> None:
         budget=args.budget,
         n_trials=args.trials,
     )
-    print_table("Adversarial shifts: mean median-segment RMSE by n_shifts", table)
-    dump_results(table, args.out)
     spark.stop()
+    title = "Adversarial shifts: mean median-segment RMSE by n_shifts"
+    dump_results(table, "results/adversarial.json", title)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import numpy as np
 import pandas as pd
 
 from repro.datasets.streams import generate, interpolated_proxy
-from repro.experiments import dump_results, print_table
+from repro.experiments import dump_results
 from repro.session import get_spark
 from repro.sparkops.metrics import median_segment_rmse
 from repro.sparkops.trials import run_trials
@@ -28,7 +28,6 @@ def main() -> None:
     ap.add_argument("--seg-len", type=int, default=100_000)
     ap.add_argument("--trials", type=int, default=200)
     ap.add_argument("--budget", type=int, default=2500)
-    ap.add_argument("--out", default="results/proxy_quality.json")
     args = ap.parse_args()
 
     spark = get_spark("proxy-quality")
@@ -49,10 +48,10 @@ def main() -> None:
         modes=("nopred",),
     )
     med = median_segment_rmse(res).toPandas()
-    table = med.pivot_table(index="dataset", columns="algo", values="median_rmse")
-    print_table("Proxy quality sweep (rialto, no predicate)", table)
-    dump_results(table.reset_index(), args.out)
     spark.stop()
+    table = med.pivot_table(index="dataset", columns="algo", values="median_rmse")
+    title = "Proxy quality sweep (rialto, no predicate)"
+    dump_results(table.reset_index(), "results/proxy_quality.json", title)
 
 
 if __name__ == "__main__":

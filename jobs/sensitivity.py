@@ -17,7 +17,7 @@ import dataclasses
 import pandas as pd
 
 from repro.datasets.streams import generate
-from repro.experiments import dump_results, print_table
+from repro.experiments import dump_results
 from repro.session import get_spark
 from repro.sparkops.metrics import median_segment_rmse
 from repro.sparkops.trials import run_trials
@@ -28,7 +28,6 @@ def main() -> None:
     ap.add_argument("--records", type=int, default=500_000)
     ap.add_argument("--trials", type=int, default=200)
     ap.add_argument("--budget", type=int, default=5000)
-    ap.add_argument("--out", default="results/sensitivity.json")
     args = ap.parse_args()
 
     spark = get_spark("sensitivity")
@@ -71,10 +70,9 @@ def main() -> None:
             rows.append({"sweep": sweep, "value": resliced.n_segments,
                          "rmse": float(med[algo, name])})
 
-    table = pd.DataFrame(rows)
-    print_table("Sensitivity (archie, no predicate, NT=%d)" % args.budget, table)
-    dump_results(table, args.out)
     spark.stop()
+    title = "Sensitivity (archie, no predicate, NT=%d)" % args.budget
+    dump_results(pd.DataFrame(rows), "results/sensitivity.json", title)
 
 
 if __name__ == "__main__":

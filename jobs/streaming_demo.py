@@ -2,7 +2,8 @@
 
 Writes one parquet file per tumbling-window segment, then executes the
 streaming query with one micro-batch per segment, printing the real-time
-estimate after each batch next to the segment's ground truth.
+estimate after each batch next to the segment's ground truth (also
+written to ``results/streaming_demo.log``).
 
 Usage: python jobs/streaming_demo.py [--dataset archie] [--budget 2500]
 """
@@ -10,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import tempfile
+from pathlib import Path
 
 from repro.core.inquest import InQuestConfig
 from repro.datasets.streams import generate, segment_truths
+from repro.experiments import print_table
 from repro.session import get_spark
 from repro.streaming.job import run_streaming_inquest, write_segment_files
 
@@ -38,14 +41,15 @@ def main() -> None:
             config=InQuestConfig(n_per_segment=n_per_segment),
             seed=args.seed,
         )
-    print(f"\ndataset={args.dataset} budget NT={args.budget} (N={n_per_segment}/segment)")
-    for r in results:
-        t = r["source_segment"]
-        print(
-            f"segment {t}: estimate={r['estimate']:.4f} truth={truth[t]:.4f} "
-            f"running={r['running_estimate']:.4f} oracle_calls={r['oracle_calls']}"
-        )
     spark.stop()
+    rows = "\n".join(
+        f"segment {r['source_segment']}: estimate={r['estimate']:.4f} "
+        f"truth={truth[r['source_segment']]:.4f} "
+        f"running={r['running_estimate']:.4f} oracle_calls={r['oracle_calls']}"
+        for r in results
+    )
+    title = f"{args.dataset}, budget NT={args.budget} (N={n_per_segment}/segment)"
+    Path("results/streaming_demo.log").write_text(print_table(title, rows))
 
 
 if __name__ == "__main__":

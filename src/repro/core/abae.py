@@ -20,12 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import estimated_allocation
-from .estimator import cell_stats, get_prediction
+from .estimator import cell_stats, trial_result
 from .inquest import segment_slices
 from .sampling import cap_and_redistribute, draw_stratified, largest_remainder_round
 from .stratify import SegmentStrata, quantile_boundaries, stratify
 
-__all__ = ["AbaePlan", "abae_plan", "abae_trial"]
+__all__ = ["PILOT_FRAC", "AbaePlan", "abae_plan", "abae_trial"]
+
+#: Share of the budget ABae spends on its pilot (Section 5.1: 15%).
+PILOT_FRAC = 0.15
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,6 @@ def abae_trial(
     total_budget: int,
     seed: int = 0,
     k: int = 3,
-    pilot_frac: float = 0.15,
     plan: AbaePlan | None = None,
 ) -> dict:
     """One ABae trial over a materialised dataset.
@@ -93,8 +95,8 @@ def abae_trial(
     d_sizes = plan.strata.sizes
     rng = np.random.default_rng([seed, 0])
 
-    # Stage 1 — pilot: even split of pilot_frac * budget across strata.
-    pilot_budget = max(k, int(round(pilot_frac * total_budget)))
+    # Stage 1 — pilot: even split of PILOT_FRAC * budget across strata.
+    pilot_budget = max(k, int(round(PILOT_FRAC * total_budget)))
     pilot_each = largest_remainder_round(np.ones(k), pilot_budget)
     pilot_each = cap_and_redistribute(pilot_each, d_sizes)
     pilot_idx, pilot_strata = draw_stratified(rng, members, pilot_each)
@@ -121,16 +123,10 @@ def abae_trial(
     idx = np.concatenate([pilot_idx, *drawn])
     strata = np.concatenate([pilot_strata, np.repeat(np.arange(k), stage2)])
 
-    # Full-query estimate from global strata; per-segment estimates restrict
-    # the sample to each segment's (segment, stratum) cells.
-    global_cells = cell_stats(f[idx], pred[idx], strata, d_sizes)
-    seg_cells = cell_stats(
-        f[idx], pred[idx], idx // seg_len * k + strata, plan.seg_sizes.ravel()
+    # Segments read their (segment, stratum) cells, the full query the strata.
+    seg_labels = idx // seg_len * k + strata
+    return trial_result(
+        cell_stats(f[idx], pred[idx], seg_labels, plan.seg_sizes.ravel()),
+        k,
+        full=cell_stats(f[idx], pred[idx], strata, d_sizes),
     )
-    return {
-        "seg_estimates": np.array(
-            [get_prediction(seg_cells[i : i + k]) for i in range(0, len(seg_cells), k)]
-        ),
-        "full_estimate": get_prediction(global_cells),
-        "oracle_calls": len(idx),
-    }

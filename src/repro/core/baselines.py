@@ -1,8 +1,8 @@
 """The two streaming baselines of Section 5.1.
 
 Both baselines consume the same stream representation as InQuest and
-return the same trial-result dict, so the trial runner treats all
-algorithms uniformly.
+return :func:`~repro.core.estimator.trial_result` of their cells, so the
+trial runner treats all algorithms uniformly.
 
 - :func:`uniform_trial` — the paper precomputes ``N`` uniformly random
   record positions between query submission and the end of the
@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .estimator import cell_stats, get_prediction
+from .estimator import cell_stats, trial_result
 from .inquest import inquest_plan, segment_slices
-from .sampling import draw_stratified
+from .sampling import draw_stratified, largest_remainder_round
 from .stratify import SegmentStrata
 
 __all__ = ["uniform_trial", "fixed_stratified_trial"]
@@ -47,14 +47,9 @@ def uniform_trial(
     positions = rng.choice(len(f), size=size, replace=False)
     # One cell per segment, so a segment's estimate is the plain mean over
     # its predicate-matching samples.
-    cells = cell_stats(f[positions], pred[positions], positions // seg_len, sizes)
-    return {
-        "seg_estimates": np.array(
-            [get_prediction(cells[t : t + 1]) for t in range(len(cells))]
-        ),
-        "full_estimate": get_prediction(cells),
-        "oracle_calls": len(positions),
-    }
+    return trial_result(
+        cell_stats(f[positions], pred[positions], positions // seg_len, sizes), 1
+    )
 
 
 def fixed_stratified_trial(
@@ -78,10 +73,7 @@ def fixed_stratified_trial(
     if plan is None:
         plan = inquest_plan(proxy, seg_len=seg_len, k=k, dynamic_strata=False)
     n_per_segment = max(1, total_budget // len(slices))
-    # Fixed even split; remainder goes to the first strata so the full
-    # per-segment budget is spent.
-    per_stratum = np.full(k, n_per_segment // k, dtype=np.int64)
-    per_stratum[: n_per_segment % k] += 1
+    per_stratum = largest_remainder_round(np.ones(k), n_per_segment)
 
     positions, labels = [], []
     for t, (sl, strata) in enumerate(zip(slices, plan, strict=True)):
@@ -96,10 +88,4 @@ def fixed_stratified_trial(
         np.concatenate(labels),
         np.concatenate([strata.sizes for strata in plan]),
     )
-    return {
-        "seg_estimates": np.array(
-            [get_prediction(cells[i : i + k]) for i in range(0, len(cells), k)]
-        ),
-        "full_estimate": get_prediction(cells),
-        "oracle_calls": len(positions),
-    }
+    return trial_result(cells, k)

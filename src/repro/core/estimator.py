@@ -17,6 +17,7 @@ __all__ = [
     "cell_stats",
     "get_prediction",
     "confidence_interval",
+    "trial_result",
 ]
 
 
@@ -134,3 +135,20 @@ def confidence_interval(
     var = float((cells.d_size.astype(np.float64) ** 2 * s2 / n).sum()) / x**2
     half = NormalDist().inv_cdf(0.5 + confidence / 2) * float(np.sqrt(var))
     return (mu - half, mu + half)
+
+
+def trial_result(cells: CellStats, k: int, full: CellStats | None = None) -> dict:
+    """Every kernel's result, from its segment-major cells, ``k`` per segment.
+
+    The full query reads ``full`` (ABae's global strata), or all of
+    ``cells`` when not given; its spend and interval read ``"cells"``.
+    """
+    full = cells if full is None else full
+    return {
+        "seg_estimates": np.array(
+            [get_prediction(cells[i : i + k]) for i in range(0, len(cells), k)]
+        ),
+        "full_estimate": get_prediction(full),
+        "oracle_calls": int(full.n.sum()),
+        "cells": full,
+    }

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import estimated_allocation, mix_defensive
-from .estimator import CellStats, cell_stats, get_prediction
+from .estimator import CellStats, cell_stats, get_prediction, trial_result
 from .sampling import cap_and_redistribute, draw_stratified, largest_remainder_round
 from .stratify import (
     Ewma,
@@ -45,6 +45,7 @@ from .stratify import (
 )
 
 __all__ = [
+    "DEFENSIVE_FRAC",
     "InQuestConfig",
     "InQuestState",
     "Stratifier",
@@ -54,21 +55,24 @@ __all__ = [
 ]
 
 
+#: Share of each segment's budget sampled defensively, N1 = 0.1 N (Section 5.1).
+DEFENSIVE_FRAC = 0.1
+
+
 @dataclass(frozen=True)
 class InQuestConfig:
-    """Free parameters of InQuest (paper defaults: K=3, alpha=0.8, N1=0.1N)."""
+    """Free parameters of InQuest (paper defaults: K=3, alpha=0.8)."""
 
     n_per_segment: int
     k: int = 3
     alpha: float = 0.8
-    defensive_frac: float = 0.1
     dynamic_strata: bool = True
     dynamic_alloc: bool = True
 
     @property
     def n1(self) -> float:
         """Defensive budget per segment."""
-        return self.defensive_frac * self.n_per_segment
+        return DEFENSIVE_FRAC * self.n_per_segment
 
     @property
     def n2(self) -> float:
@@ -235,7 +239,6 @@ def inquest_trial(
     seed: int = 0,
     k: int = 3,
     alpha: float = 0.8,
-    defensive_frac: float = 0.1,
     dynamic_strata: bool = True,
     dynamic_alloc: bool = True,
     plan: list[SegmentStrata] | None = None,
@@ -245,8 +248,8 @@ def inquest_trial(
     ``total_budget`` is the query's total oracle budget ``NT``; the
     per-segment budget is ``NT / T`` as in the paper's sweeps.  ``plan``
     is :func:`inquest_plan` of the same stream and knobs, built here when
-    not given.  Returns per-segment estimates, the final full-query
-    estimate, and the number of oracle calls actually spent.
+    not given.  Returns :func:`~repro.core.estimator.trial_result` of the
+    query state's cells.
     """
     slices = segment_slices(len(f), seg_len)
     if plan is None:
@@ -259,19 +262,11 @@ def inquest_trial(
             n_per_segment=n_per_segment,
             k=k,
             alpha=alpha,
-            defensive_frac=defensive_frac,
             dynamic_strata=dynamic_strata,
             dynamic_alloc=dynamic_alloc,
         ),
         seed=seed,
     )
-    seg_estimates = [
-        state.observe_segment(f[sl], pred[sl], proxy[sl], strata)["estimate"]
-        for sl, strata in zip(slices, plan, strict=True)
-    ]
-    return {
-        "seg_estimates": np.asarray(seg_estimates),
-        "full_estimate": get_prediction(state.cells),
-        "oracle_calls": int(state.cells.n.sum()),
-        "state": state,
-    }
+    for sl, strata in zip(slices, plan, strict=True):
+        state.observe_segment(f[sl], pred[sl], proxy[sl], strata)
+    return trial_result(state.cells, k)

@@ -246,8 +246,11 @@ def adversarial_shifts(
     return med.groupby(["algo", "n_shifts"])["median_rmse"].mean().unstack("n_shifts")
 
 
-def dump_results(obj: dict[str, pd.DataFrame] | pd.DataFrame, path: str | Path) -> None:
-    """Persist experiment output as JSON under ``results/``."""
+def dump_results(
+    obj: dict[str, pd.DataFrame] | pd.DataFrame, path: str | Path, title: str = ""
+) -> None:
+    """Persist experiment output as JSON under ``results/``; with a ``title``,
+    print it and write what is printed beside it as ``.log``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     if isinstance(obj, pd.DataFrame):
@@ -257,9 +260,11 @@ def dump_results(obj: dict[str, pd.DataFrame] | pd.DataFrame, path: str | Path) 
             k: json.loads(v.to_json(orient="split")) for k, v in obj.items()
         }
     path.write_text(json.dumps(payload, indent=2, default=str))
+    if title:
+        path.with_suffix(".log").write_text(print_table(title, obj))
 
 
-def print_table(title: str, table: pd.DataFrame) -> str:
+def print_table(title: str, table: pd.DataFrame | str) -> str:
     """Print a human-readable table block for job stdout; return its text."""
     with pd.option_context("display.width", 160, "display.float_format", "{:.4f}".format):
         text = f"\n== {title} ==\n{table}\n"

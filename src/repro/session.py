@@ -21,13 +21,15 @@ def get_spark(app_name: str) -> SparkSession:
     """The process's local SparkSession, launching the JVM on first call.
 
     ``SPARK_MASTER`` (default ``local[*]``) and ``SPARK_DRIVER_MEM``
-    (default ``8g``) are read here; a ``PYSPARK_SUBMIT_ARGS`` already set
-    wins over both.
+    (default: half of physical memory, clamped to 2-8 GiB) are read here;
+    a ``PYSPARK_SUBMIT_ARGS`` already set wins over both.
     """
+    half_gib = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") >> 31
+    driver_mem = os.environ.get("SPARK_DRIVER_MEM") or f"{min(max(half_gib, 2), 8)}g"
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
         f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-        f"--driver-memory {os.environ.get('SPARK_DRIVER_MEM', '8g')} "
+        f"--driver-memory {driver_mem} "
         "--conf spark.driver.host=127.0.0.1 "
         "--conf spark.ui.enabled=false "
         "pyspark-shell",

@@ -5,4 +5,3 @@ One parquet file = one tumbling-window segment = one micro-batch; the
 the offline kernels use, so streaming estimates are bit-identical to the
 batch path at equal seeds (a test asserts this).
 """
-from repro.core.inquest import InQuestConfig, InQuestState  # noqa: F401

@@ -30,12 +30,10 @@ class TestAbaeTrial:
         assert len(out["seg_estimates"]) == 4
 
     def test_pilot_fraction_bounds_stage1(self):
-        # With pilot_frac=0.15 and budget 400, stage 1 spends 60 samples;
+        # With PILOT_FRAC = 0.15 and budget 400, stage 1 spends 60 samples;
         # total is still exactly the budget (sample reuse, no surplus).
         f, pred, proxy = toy_stream(8000)
-        out = abae_trial(
-            f, pred, proxy, seg_len=2000, total_budget=400, seed=0, pilot_frac=0.15
-        )
+        out = abae_trial(f, pred, proxy, seg_len=2000, total_budget=400, seed=0)
         assert out["oracle_calls"] == 400
 
     def test_deterministic_in_seed(self):

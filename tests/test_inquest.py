@@ -39,7 +39,7 @@ class TestSegmentSlices:
 
 class TestInQuestConfig:
     def test_budget_split(self):
-        cfg = InQuestConfig(n_per_segment=100, defensive_frac=0.1)
+        cfg = InQuestConfig(n_per_segment=100)
         assert cfg.n1 == 10 and cfg.n2 == 90
 
 
@@ -72,7 +72,7 @@ class TestInQuestState:
     def test_defensive_floor_in_budgets(self):
         # Every stratum gets at least floor(N1/K) samples after segment 1.
         f, pred, proxy = toy_stream(6000)
-        cfg = InQuestConfig(n_per_segment=120, defensive_frac=0.1)
+        cfg = InQuestConfig(n_per_segment=120)
         state = InQuestState(cfg, seed=1)
         for i, sl in enumerate(segment_slices(6000, 2000)):
             out = state.observe_segment(f[sl], pred[sl], proxy[sl])
@@ -249,6 +249,6 @@ class TestConfidenceInterval:
                 f, pred, stream.proxy, seg_len=stream.seg_len,
                 total_budget=500, seed=seed, plan=plan,
             )
-            lo, hi = confidence_interval(out["state"].cells)
+            lo, hi = confidence_interval(out["cells"])
             hits += lo <= truth <= hi
         assert 0.85 <= hits / trials <= 0.99

@@ -10,6 +10,10 @@ results is intended, and say so) with::
 
     PYTHONPATH=src python tests/test_kernel_golden.py
 
+Every kernel returns ``trial_result`` of its cells, so the full-query
+estimate, the spend and the interval all read the result's ``"cells"``;
+a test checks that on the same stream.
+
 The property tests check, over degenerate streams, that a kernel run
 from a prebuilt plan is bit-identical to one that builds its own, and
 that the live ``InQuestState`` (strata computed as segments arrive)
@@ -26,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.estimator import confidence_interval, get_prediction
 from repro.core.inquest import (
     InQuestConfig,
     InQuestState,
@@ -101,6 +106,28 @@ def test_kernel_outputs_bit_identical(algo, outputs, golden):
                 key = _key(algo, mode, budget, seed)
                 # JSON floats round-trip exactly, so == is bit-identity.
                 assert outputs[key] == golden[key], key
+
+
+@pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+def test_result_reads_its_cells(algo):
+    f, pred, proxy = golden_stream()
+    for mode in MODES:
+        p = pred if mode == "pred" else np.ones(N, dtype=bool)
+        for budget in BUDGETS:
+            for seed in SEEDS:
+                key = _key(algo, mode, budget, seed)
+                out = ALGORITHMS[algo](
+                    f, p, proxy, seg_len=SEG_LEN, total_budget=budget, seed=seed
+                )
+                assert out.keys() == {
+                    "seg_estimates", "full_estimate", "oracle_calls", "cells"
+                }, key
+                cells = out["cells"]
+                assert get_prediction(cells) == out["full_estimate"], key
+                assert out["oracle_calls"] == cells.n.sum(), key
+                if cells.n_pos.sum() > 0:
+                    lo, hi = confidence_interval(cells)
+                    assert lo <= out["full_estimate"] <= hi, key
 
 
 @st.composite
