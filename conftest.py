@@ -1,9 +1,11 @@
-import sys
-
 import pytest
 from pyspark.sql import SparkSession
 
 from repro.session import get_spark
+
+# The session's driver memory and parallelism, for the terminal summary
+# (README § Spark target): pytest captures what a fixture prints.
+_SESSION_LINES: list[str] = []
 
 
 @pytest.fixture(scope="session")
@@ -14,13 +16,15 @@ def spark() -> SparkSession:
     driver memory rule.
     """
     s = get_spark("repro")
-    # One line in the test output with the session's driver memory and
-    # parallelism (README § Spark target).
     sc = s.sparkContext
-    print(
+    _SESSION_LINES.append(
         f"[conftest] spark.driver.memory={sc.getConf().get('spark.driver.memory')} "
-        f"master={sc.master} defaultParallelism={sc.defaultParallelism}",
-        file=sys.stderr,
+        f"master={sc.master} defaultParallelism={sc.defaultParallelism}"
     )
     yield s
     s.stop()
+
+
+def pytest_terminal_summary(terminalreporter) -> None:
+    for line in _SESSION_LINES:
+        terminalreporter.write_line(line)

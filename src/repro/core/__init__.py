@@ -7,7 +7,8 @@ Submodules follow the paper's decomposition:
 - ``allocation`` — Proposition 1's optimal allocation and its estimate,
 - ``estimator``  — per-cell sufficient statistics, ``GetPrediction``, its CI,
 - ``inquest``    — the segment-at-a-time ``InQuestState`` (Algorithms 1-2),
-- ``baselines``  — the two streaming baselines of Section 5.1,
+  whose ``InQuestConfig`` is also Section 5.1's fixed-strata baseline,
+- ``baselines``  — Section 5.1's uniform-sampling baseline,
 - ``abae``       — the ABae batch comparator,
 - ``cost``       — Figure 9's time/dollar model.
 """

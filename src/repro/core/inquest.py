@@ -3,9 +3,10 @@
 :class:`InQuestState` is the single implementation shared by the offline
 Monte Carlo kernels (:func:`inquest_trial`) and the Structured Streaming
 deployment (``repro.streaming.job``): each call to
-:meth:`InQuestState.observe_segment` consumes one tumbling-window
-segment of the stream — one micro-batch — and returns the real-time
-query estimate.
+:meth:`InQuestState.step` consumes one tumbling-window segment of the
+stream — one micro-batch.  The deployment calls
+:meth:`InQuestState.observe_segment`, the step plus the segment's report
+with the real-time query estimate, which the offline kernel does not need.
 
 Per segment ``t``:
 
@@ -24,7 +25,10 @@ Per segment ``t``:
 
 The lesion-study variants of Figure 7 are the ``dynamic_strata`` /
 ``dynamic_alloc`` flags: both off reproduces "stratified sampling with a
-pilot segment".
+pilot segment".  Section 5.1's fixed-strata baseline is the
+:class:`InQuestConfig` with both off and ``fixed_budgets`` on: fixed
+strata, an even ``N/K`` budget per (segment, stratum) from segment 1 on,
+no pilot, and no recycling of budgets a stratum cannot absorb.
 """
 from __future__ import annotations
 
@@ -61,13 +65,17 @@ DEFENSIVE_FRAC = 0.1
 
 @dataclass(frozen=True)
 class InQuestConfig:
-    """Free parameters of InQuest (paper defaults: K=3, alpha=0.8)."""
+    """Free parameters of InQuest (paper defaults: K=3, alpha=0.8).
+
+    ``fixed_budgets`` turns off the pilot and the recycling of capped budgets.
+    """
 
     n_per_segment: int
     k: int = 3
     alpha: float = 0.8
     dynamic_strata: bool = True
     dynamic_alloc: bool = True
+    fixed_budgets: bool = False
 
     @property
     def n1(self) -> float:
@@ -120,14 +128,15 @@ class InQuestState:
             config.k, config.alpha, dynamic=config.dynamic_strata
         )
         self._alloc_ewma = Ewma(config.alpha)
-        # Every (segment, stratum) cell sampled so far, segment-major.
-        self.cells: CellStats = cell_stats([], [], [], [])
+        # Each segment's cells, joined only when ``cells`` is read.
+        self._cells: list[CellStats] = [cell_stats([], [], [], [])]
 
-    # -- sampling ----------------------------------------------------------
-    def _segment_rng(self, t: int) -> np.random.Generator:
-        # Seeded by (trial seed, segment index) so the offline kernel and
-        # the Structured Streaming path draw identical samples.
-        return np.random.default_rng([self.seed, t])
+    @property
+    def cells(self) -> CellStats:
+        """Every (segment, stratum) cell sampled so far, segment-major."""
+        if len(self._cells) > 1:
+            self._cells = [CellStats.concat(self._cells)]
+        return self._cells[0]
 
     def _alloc_fractions(self) -> np.ndarray:
         k = self.cfg.k
@@ -139,6 +148,58 @@ class InQuestState:
             dyn = np.full(k, 1.0 / k)
         return mix_defensive(dyn, n1=self.cfg.n1, n2=self.cfg.n2, k=k)
 
+    def step(
+        self,
+        f: np.ndarray,
+        pred: np.ndarray,
+        proxy: np.ndarray,
+        strata: SegmentStrata | None = None,
+    ) -> tuple[CellStats, np.ndarray, SegmentStrata]:
+        """Sample one segment and update the state for the next one.
+
+        ``f``/``pred`` are the *oracle* outputs but are only read at the
+        sampled indices; ``proxy`` is read everywhere, matching the
+        paper's cost model.  ``strata`` are the segment's strata from
+        :func:`inquest_plan`; without them they are computed from
+        ``proxy`` here, as on a live stream.  Returns the segment's cells,
+        its per-stratum budgets and its strata.
+        """
+        if len(f) == 0:
+            raise ValueError("empty segment: no records to estimate from")
+        t = self.t + 1
+        cfg = self.cfg
+        # Seeded by (trial seed, segment index) so the offline kernel and
+        # the Structured Streaming path draw identical samples.
+        rng = np.random.default_rng([self.seed, t])
+        proxy = np.asarray(proxy, dtype=np.float64)
+        if strata is None:
+            strata = self._stratifier.next_strata(proxy)
+        d_sizes = strata.sizes
+
+        if t == 1 and not cfg.fixed_budgets:
+            # Pilot: uniform sample of the whole per-segment budget, then
+            # grouped under the pilot segment's strata.
+            idx = rng.choice(len(f), size=min(cfg.n_per_segment, len(f)), replace=False)
+            sample_strata = assign_strata(proxy[idx], strata.boundaries)
+            budgets = np.bincount(sample_strata, minlength=cfg.k)
+        else:
+            budgets = largest_remainder_round(self._alloc_fractions(), cfg.n_per_segment)
+            if not cfg.fixed_budgets:
+                budgets = cap_and_redistribute(budgets, d_sizes)
+            idx, sample_strata = draw_stratified(rng, strata.members, budgets)
+
+        cells_t = cell_stats(f[idx], pred[idx], sample_strata, d_sizes)
+
+        # -- post-segment update (used from segment t + 1 on) --------------
+        if cfg.dynamic_alloc:
+            a_t = estimated_allocation(d_sizes, cells_t.p_hat, cells_t.sigma_hat)
+            if a_t is not None:
+                self._alloc_ewma.update(a_t)
+
+        self._cells.append(cells_t)
+        self.t = t
+        return cells_t, budgets, strata
+
     def observe_segment(
         self,
         f: np.ndarray,
@@ -146,51 +207,13 @@ class InQuestState:
         proxy: np.ndarray,
         strata: SegmentStrata | None = None,
     ) -> dict:
-        """Consume one segment; return its estimate and the running estimate.
-
-        ``f``/``pred`` are the *oracle* outputs but are only read at the
-        sampled indices (``oracle_calls`` counts them); ``proxy`` is read
-        everywhere, matching the paper's cost model.  ``strata`` are
-        the segment's strata from :func:`inquest_plan`; without them they
-        are computed from ``proxy`` here, as on a live stream.
-        """
-        if len(f) == 0:
-            raise ValueError("empty segment: no records to estimate from")
-        t = self.t + 1
-        cfg = self.cfg
-        rng = self._segment_rng(t)
-        proxy = np.asarray(proxy, dtype=np.float64)
-        if strata is None:
-            strata = self._stratifier.next_strata(proxy)
-        d_sizes = strata.sizes
-
-        if t == 1:
-            # Pilot: uniform sample of the whole per-segment budget, then
-            # grouped under the pilot segment's strata.
-            idx = rng.choice(len(f), size=min(cfg.n_per_segment, len(f)), replace=False)
-            sample_strata = assign_strata(proxy[idx], strata.boundaries)
-            budgets = np.bincount(sample_strata, minlength=cfg.k)
-        else:
-            budgets = cap_and_redistribute(
-                largest_remainder_round(self._alloc_fractions(), cfg.n_per_segment),
-                d_sizes,
-            )
-            idx, sample_strata = draw_stratified(rng, strata.members, budgets)
-
-        cells_t = cell_stats(f[idx], pred[idx], sample_strata, d_sizes)
-
-        # -- post-segment update (used from segment t + 1 on) --------------
-        a_t = estimated_allocation(d_sizes, cells_t.p_hat, cells_t.sigma_hat)
-        if a_t is not None:
-            self._alloc_ewma.update(a_t)
-
-        self.cells = CellStats.concat([self.cells, cells_t])
-        self.t = t
+        """:meth:`step`, then its report: the segment's and the running estimate."""
+        cells_t, budgets, strata = self.step(f, pred, proxy, strata)
         return {
-            "segment": t,
+            "segment": self.t,
             "estimate": get_prediction(cells_t),
             "running_estimate": get_prediction(self.cells),
-            "oracle_calls": len(idx),
+            "oracle_calls": int(cells_t.n.sum()),
             "budgets": budgets,
             "boundaries": strata.boundaries,
         }
@@ -241,6 +264,7 @@ def inquest_trial(
     alpha: float = 0.8,
     dynamic_strata: bool = True,
     dynamic_alloc: bool = True,
+    fixed_budgets: bool = False,
     plan: list[SegmentStrata] | None = None,
 ) -> dict:
     """One InQuest trial over a materialised stream.
@@ -248,8 +272,8 @@ def inquest_trial(
     ``total_budget`` is the query's total oracle budget ``NT``; the
     per-segment budget is ``NT / T`` as in the paper's sweeps.  ``plan``
     is :func:`inquest_plan` of the same stream and knobs, built here when
-    not given.  Returns :func:`~repro.core.estimator.trial_result` of the
-    query state's cells.
+    not given.  The flags are :class:`InQuestConfig`'s.  Returns
+    :func:`~repro.core.estimator.trial_result` of the query state's cells.
     """
     slices = segment_slices(len(f), seg_len)
     if plan is None:
@@ -264,9 +288,10 @@ def inquest_trial(
             alpha=alpha,
             dynamic_strata=dynamic_strata,
             dynamic_alloc=dynamic_alloc,
+            fixed_budgets=fixed_budgets,
         ),
         seed=seed,
     )
     for sl, strata in zip(slices, plan, strict=True):
-        state.observe_segment(f[sl], pred[sl], proxy[sl], strata)
+        state.step(f[sl], pred[sl], proxy[sl], strata)
     return trial_result(state.cells, k)

@@ -23,7 +23,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.abae import abae_plan, abae_trial
-from repro.core.baselines import fixed_stratified_trial, uniform_trial
+from repro.core.baselines import uniform_trial
 from repro.core.inquest import inquest_plan, inquest_trial
 from repro.datasets.streams import StreamData, segment_truths
 
@@ -65,7 +65,10 @@ ALGORITHMS = {
     "inquest": _inquest(),
     "uniform": Algorithm(uniform_trial),
     "stratified": Algorithm(
-        fixed_stratified_trial, functools.partial(inquest_plan, dynamic_strata=False)
+        functools.partial(
+            inquest_trial, dynamic_strata=False, dynamic_alloc=False, fixed_budgets=True
+        ),
+        functools.partial(inquest_plan, dynamic_strata=False),
     ),
     "abae": Algorithm(abae_trial, abae_plan),
     "inquest_fixed_alloc": _inquest(dynamic_alloc=False),

@@ -1,9 +1,16 @@
-"""Tests for the Section 5.1 streaming baselines."""
+"""Tests for the Section 5.1 streaming baselines.
+
+The fixed-strata baseline is a configuration of InQuest's state machine,
+so it is tested through its registry entry.
+"""
 import numpy as np
 import pytest
 
-from repro.core.baselines import fixed_stratified_trial, uniform_trial
+from repro.core.baselines import uniform_trial
 from repro.core.inquest import segment_slices
+from repro.sparkops.trials import ALGORITHMS
+
+fixed_stratified = ALGORITHMS["stratified"]
 
 
 def toy_stream(n=10_000, seed=0, p=0.6):
@@ -64,7 +71,7 @@ class TestUniformTrial:
 class TestFixedStratifiedTrial:
     def test_seg_count_and_budget_cap(self):
         f, pred, proxy = toy_stream(5000)
-        out = fixed_stratified_trial(f, pred, proxy, seg_len=1000, total_budget=300, seed=0)
+        out = fixed_stratified(f, pred, proxy, seg_len=1000, total_budget=300, seed=0)
         assert len(out["seg_estimates"]) == 5
         assert out["oracle_calls"] <= 300
 
@@ -76,7 +83,7 @@ class TestFixedStratifiedTrial:
         f = g.random(n)
         pred = np.ones(n, dtype=bool)
         proxy = g.random(n)
-        out = fixed_stratified_trial(f, pred, proxy, seg_len=2000, total_budget=300, seed=0)
+        out = fixed_stratified(f, pred, proxy, seg_len=2000, total_budget=300, seed=0)
         assert out["oracle_calls"] == 300
 
     def test_unbiased_no_predicate(self):
@@ -87,7 +94,7 @@ class TestFixedStratifiedTrial:
         pred = np.ones(n, dtype=bool)
         truth = f.mean()
         ests = [
-            fixed_stratified_trial(f, pred, proxy, seg_len=9000, total_budget=150, seed=s)[
+            fixed_stratified(f, pred, proxy, seg_len=9000, total_budget=150, seed=s)[
                 "full_estimate"
             ]
             for s in range(400)
@@ -109,20 +116,20 @@ class TestFixedStratifiedTrial:
                 uniform_trial(f, pred, proxy, seg_len=n, total_budget=90, seed=s)["full_estimate"] - truth
             )
             err_s.append(
-                fixed_stratified_trial(f, pred, proxy, seg_len=n, total_budget=90, seed=s)["full_estimate"] - truth
+                fixed_stratified(f, pred, proxy, seg_len=n, total_budget=90, seed=s)["full_estimate"] - truth
             )
         assert np.mean(np.square(err_s)) < np.mean(np.square(err_u))
 
     def test_deterministic_in_seed(self):
         f, pred, proxy = toy_stream(3000)
-        a = fixed_stratified_trial(f, pred, proxy, seg_len=1000, total_budget=90, seed=7)
-        b = fixed_stratified_trial(f, pred, proxy, seg_len=1000, total_budget=90, seed=7)
+        a = fixed_stratified(f, pred, proxy, seg_len=1000, total_budget=90, seed=7)
+        b = fixed_stratified(f, pred, proxy, seg_len=1000, total_budget=90, seed=7)
         assert np.array_equal(a["seg_estimates"], b["seg_estimates"])
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_k_strata(self, k):
         f, pred, proxy = toy_stream(3000)
-        out = fixed_stratified_trial(
+        out = fixed_stratified.kernel(
             f, pred, proxy, seg_len=1000, total_budget=90, seed=0, k=k
         )
         assert len(out["seg_estimates"]) == 3

@@ -200,9 +200,12 @@ class TestPlans:
         st.floats(0.0, 1.0),
         st.booleans(),
         st.booleans(),
+        st.booleans(),
     )
     @settings(max_examples=100, deadline=None)
-    def test_live_state_matches_plan(self, stream, seed, alpha, dyn_strata, dyn_alloc):
+    def test_live_state_matches_plan(
+        self, stream, seed, alpha, dyn_strata, dyn_alloc, fixed_budgets
+    ):
         f, pred, proxy, seg_len, budget, k = stream
         slices = segment_slices(len(f), seg_len)
         cfg = InQuestConfig(
@@ -211,6 +214,7 @@ class TestPlans:
             alpha=alpha,
             dynamic_strata=dyn_strata,
             dynamic_alloc=dyn_alloc,
+            fixed_budgets=fixed_budgets,
         )
         plan = inquest_plan(
             proxy, seg_len=seg_len, k=k, alpha=alpha, dynamic_strata=dyn_strata
@@ -227,6 +231,7 @@ class TestPlans:
         offline = inquest_trial(
             f, pred, proxy, seg_len=seg_len, total_budget=budget, seed=seed, k=k,
             alpha=alpha, dynamic_strata=dyn_strata, dynamic_alloc=dyn_alloc,
+            fixed_budgets=fixed_budgets,
         )
         assert np.array_equal(estimates, offline["seg_estimates"])
         assert a["running_estimate"] == offline["full_estimate"]

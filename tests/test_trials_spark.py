@@ -215,7 +215,7 @@ class TestRunTrials:
                 run_trials(
                     spark,
                     streams,
-                    algorithms=["uniform", "abae"],
+                    algorithms=["uniform", "stratified", "abae"],
                     budgets=[100],
                     n_trials=1,
                     params=params,
