@@ -1,9 +1,10 @@
-"""Reproduce Tables 3 and 4, the lesion study and the cost model from one run.
+"""Reproduce every results file of the evaluation section from one run.
 
-Tables 3/4 (without/with a predicate), Figure 7's lesion study and
-Figure 9's T4 cost model (archie) come from one trial set.  Writes
-``results/{table3,table4,lesion}.{json,log}``, ``results/cost_savings.json``
-and ``results/cost.log`` under the working directory; a log holds its table.
+Tables 2-4, the lesion study (Fig. 7), sensitivity (Fig. 8), cost (Fig. 9),
+proxy quality (Fig. 10) and adversarial shifts (Fig. 11, on streams of
+their own fixed size) share one SparkSession, the six streams and
+``--trials``.  Writes each file of ``OUTPUTS`` under ``results/`` in the
+working directory; a log holds its table.
 
 Usage: python jobs/evaluate.py [--records N] [--seg-len L] [--trials T]
 """
@@ -12,11 +13,22 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from repro.experiments import dump_results, evaluate, load_streams, print_table
+from repro.experiments import (
+    SENSITIVITY_BUDGET,
+    adversarial_shifts,
+    dump_results,
+    evaluate,
+    load_streams,
+    print_table,
+    proxy_quality,
+    sensitivity,
+    table2,
+)
 from repro.session import get_spark
 
-#: (result, json file, log file, printed title) for each table.
+#: (result, json file, log file, printed title) for each results file.
 OUTPUTS = (
+    ("table2", "table2.json", "table2.log", "Table 2 (paper targets vs measured)"),
     ("table3", "table3.json", "table3.log",
      "Table 3 (no predicate): geomean median-segment RMSE"),
     ("table4", "table4.json", "table4.log",
@@ -24,6 +36,12 @@ OUTPUTS = (
     ("lesion", "lesion.json", "lesion.log",
      "Lesion study (no predicate): geomean median-segment RMSE"),
     ("cost", "cost_savings.json", "cost.log", "Cost model (archie, no predicate)"),
+    ("sensitivity", "sensitivity.json", "sensitivity.log",
+     f"Sensitivity (archie, no predicate, NT={SENSITIVITY_BUDGET})"),
+    ("proxy_quality", "proxy_quality.json", "proxy_quality.log",
+     "Proxy quality sweep (rialto, no predicate)"),
+    ("adversarial", "adversarial.json", "adversarial.log",
+     "Adversarial shifts: mean median-segment RMSE by n_shifts"),
 )
 
 
@@ -36,15 +54,20 @@ def main() -> None:
 
     spark = get_spark("evaluate")
     streams = load_streams(n_records=args.records, seg_len=args.seg_len)
-    tables = evaluate(spark, streams, n_trials=args.trials)
+    tables = {
+        "table2": table2(spark, streams),
+        **evaluate(spark, streams, n_trials=args.trials),
+        "sensitivity": sensitivity(spark, streams["archie"], n_trials=args.trials),
+        "proxy_quality": proxy_quality(spark, streams["rialto"], n_trials=args.trials),
+        "adversarial": adversarial_shifts(spark, n_trials=args.trials),
+    }
     spark.stop()
     out = Path("results")
-    out.mkdir(exist_ok=True)
     for name, json_file, log_file, title in OUTPUTS:
         table = tables[name]
+        dump_results(table, out / json_file)  # makes results/
         shown = table["summary"] if isinstance(table, dict) else table
         (out / log_file).write_text(print_table(title, shown))
-        dump_results(table, out / json_file)
 
 
 if __name__ == "__main__":

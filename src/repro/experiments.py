@@ -1,4 +1,4 @@
-"""Shared experiment drivers behind ``jobs/`` and ``benchmarks/``.
+"""Shared experiment drivers behind ``jobs/evaluate.py`` and ``benchmarks/``.
 
 Each function reproduces one piece of the paper's evaluation section at
 a configurable scale (full scale = 500k records, budgets 500..5000,
@@ -8,17 +8,19 @@ returns plain pandas frames ready to print or dump to
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import json
 from pathlib import Path
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.cost import T4_COST_MODEL
 from repro.datasets.adversarial import generate_adversarial
-from repro.datasets.streams import DATASET_NAMES, SPECS, StreamData, generate
+from repro.datasets.streams import DATASET_NAMES, SPECS, StreamData, generate, interpolated_proxy
 from repro.sparkops.metrics import (
     CELL,
     KEY,
@@ -40,6 +42,8 @@ __all__ = [
     "table34",
     "lesion",
     "evaluate",
+    "sensitivity",
+    "proxy_quality",
     "adversarial_shifts",
     "dump_results",
     "print_table",
@@ -53,6 +57,16 @@ TABLE34_ALGORITHMS = ("uniform", "stratified", "abae", "inquest")
 LESION_VARIANTS = ("inquest_fixed_alloc", "inquest_fixed_strata", "stratified_pilot")
 #: The budgets Tables 3 and 4 print, and the lesion study's sweep.
 TABLE_BUDGETS = (500, 2500, 5000)
+#: Figure 8's oracle budget.
+SENSITIVITY_BUDGET = 5000
+#: Figure 10's oracle budget.
+PROXY_QUALITY_BUDGET = 2500
+#: Figure 11's streams: this many for each number of shifts in 1..5, each
+#: of 100k records in 20k-record segments, queried at NT = 2500.
+ADVERSARIAL_STREAMS_PER_N = 20
+ADVERSARIAL_RECORDS = 100_000
+ADVERSARIAL_SEG_LEN = 20_000
+ADVERSARIAL_BUDGET = 2500
 
 
 @functools.lru_cache(maxsize=4)
@@ -212,19 +226,85 @@ def _cost(frame: pd.DataFrame, n_records: int) -> pd.DataFrame:
     )
 
 
+def sensitivity(spark: SparkSession, stream: StreamData, *, n_trials: int) -> pd.DataFrame:
+    """Figure 8's sensitivity analysis (alpha, window length) as one table.
+
+    InQuest runs on ``stream`` (archie in the paper) with no predicate at
+    ``SENSITIVITY_BUDGET``: alpha in [0.5, 0.9] with the stream cut into
+    T = 5 segments, and the default alpha with it cut into T in [4, 8].
+    Uniform ignores alpha, but its per-segment budget and segment size
+    follow T, so it runs at every T and gives one ``uniform-ref`` row per
+    T; the alpha sweep compares with the T = 5 one.
+    """
+    # One copy of the stream per T, cut into T segments (the last one
+    # may be shorter); the copies share their arrays.
+    by_t = {}
+    for t_segments in (4, 5, 6, 7, 8):
+        resliced = dataclasses.replace(stream, seg_len=-(-stream.n_records // t_segments))
+        if resliced.n_segments != t_segments:
+            raise ValueError(f"{stream.n_records} records do not make {t_segments} segments")
+        by_t[f"{stream.name}-T{t_segments}"] = resliced
+    run = functools.partial(
+        run_trials, spark, budgets=[SENSITIVITY_BUDGET], n_trials=n_trials, modes=("nopred",)
+    )
+    t5 = {stream.name: by_t[f"{stream.name}-T5"]}
+    rows = []
+    for alpha in (0.5, 0.6, 0.7, 0.8, 0.9):
+        res = run(t5, algorithms=["inquest"], params={"alpha": alpha})
+        med = median_segment_rmse(res).toPandas()
+        rows.append({"sweep": "alpha", "value": alpha, "rmse": float(med["median_rmse"].iloc[0])})
+    res = run(by_t, algorithms=["inquest", "uniform"])
+    med = median_segment_rmse(res).toPandas().set_index(["algo", "dataset"])["median_rmse"]
+    for sweep, algo in (("T", "inquest"), ("uniform-ref", "uniform")):
+        for name, resliced in by_t.items():
+            rows.append({"sweep": sweep, "value": resliced.n_segments,
+                         "rmse": float(med[algo, name])})
+    return pd.DataFrame(rows)
+
+
+def proxy_quality(spark: SparkSession, stream: StreamData, *, n_trials: int) -> pd.DataFrame:
+    """Figure 10's proxy-quality sweep as a table (rialto in the paper).
+
+    Rebuilds ``stream``'s proxy with the Section 5.5 interpolation
+    ``proxy = beta*g + (1-beta)*U(0,1)`` for beta in {0, .25, .5, .75, 1}
+    (beta=1 is the perfect proxy, beta=0 pure noise) and reports InQuest's and uniform's median-segment RMSE at
+    each beta, with no predicate at ``PROXY_QUALITY_BUDGET``.
+    """
+    masked = stream.statistic * stream.pred
+    g01 = masked / masked.max()
+    streams = {
+        f"{stream.name}-beta{beta}": dataclasses.replace(
+            stream,
+            proxy=interpolated_proxy(np.random.default_rng([55, int(beta * 100)]), g01, beta),
+        )
+        for beta in (0.0, 0.25, 0.5, 0.75, 1.0)
+    }
+    res = run_trials(
+        spark,
+        streams,
+        algorithms=["inquest", "uniform"],
+        budgets=[PROXY_QUALITY_BUDGET],
+        n_trials=n_trials,
+        modes=("nopred",),
+    )
+    med = median_segment_rmse(res).toPandas()
+    return med.pivot_table(index="dataset", columns="algo", values="median_rmse").reset_index()
+
+
 def adversarial_shifts(
     spark: SparkSession,
     *,
-    n_records: int = 100_000,
-    seg_len: int = 20_000,
-    streams_per_n: int = 4,
-    budget: int = 2500,
-    n_trials: int = 100,
+    n_trials: int,
+    n_records: int = ADVERSARIAL_RECORDS,
+    seg_len: int = ADVERSARIAL_SEG_LEN,
+    streams_per_n: int = ADVERSARIAL_STREAMS_PER_N,
+    budget: int = ADVERSARIAL_BUDGET,
 ) -> pd.DataFrame:
     """Figure 11's experiment: RMSE vs number of sudden parameter shifts.
 
     Returns mean median-segment RMSE per (algorithm, n_shifts),
-    aggregated over ``streams_per_n`` adversarial streams each.
+    aggregated over ``streams_per_n`` adversarial streams each, with the
+    predicate.
     """
     streams, n_shifts = {}, {}
     for n, seed in itertools.product(range(1, 6), range(streams_per_n)):
@@ -246,11 +326,8 @@ def adversarial_shifts(
     return med.groupby(["algo", "n_shifts"])["median_rmse"].mean().unstack("n_shifts")
 
 
-def dump_results(
-    obj: dict[str, pd.DataFrame] | pd.DataFrame, path: str | Path, title: str = ""
-) -> None:
-    """Persist experiment output as JSON under ``results/``; with a ``title``,
-    print it and write what is printed beside it as ``.log``."""
+def dump_results(obj: dict[str, pd.DataFrame] | pd.DataFrame, path: str | Path) -> None:
+    """Persist experiment output as JSON under ``results/``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     if isinstance(obj, pd.DataFrame):
@@ -260,8 +337,6 @@ def dump_results(
             k: json.loads(v.to_json(orient="split")) for k, v in obj.items()
         }
     path.write_text(json.dumps(payload, indent=2, default=str))
-    if title:
-        path.with_suffix(".log").write_text(print_table(title, obj))
 
 
 def print_table(title: str, table: pd.DataFrame | str) -> str:

@@ -13,6 +13,7 @@ from pyspark import SparkContext
 from repro import experiments
 from repro.datasets.streams import DATASET_NAMES, generate
 from repro.experiments import FULL_BUDGETS, dump_results, load_streams
+from repro.sparkops.trials import run_trials
 
 
 class TestFullBudgets:
@@ -70,14 +71,7 @@ class TestDumpResults:
 
 
 _ROOT = Path(__file__).resolve().parent.parent
-_JOBS = (
-    "table2_datasets",
-    "evaluate",
-    "adversarial_shifts",
-    "sensitivity",
-    "proxy_quality",
-    "streaming_demo",
-)
+_JOBS = ("evaluate", "streaming_demo")
 _ENTRYPOINTS = [
     *(f"jobs/{job}.py" for job in _JOBS),
     "benchmarks/bench_streaming.py",
@@ -87,10 +81,14 @@ _ENTRYPOINTS = [
 
 #: Each job that ``jobs/evaluate.py`` replaced, and the results file it wrote.
 _RETIRED_JOBS = {
+    "table2_datasets": "table2.json",
     "table3_no_predicate": "table3.json",
     "table4_predicate": "table4.json",
     "lesion_study": "lesion.json",
     "cost_savings": "cost_savings.json",
+    "sensitivity": "sensitivity.json",
+    "proxy_quality": "proxy_quality.json",
+    "adversarial_shifts": "adversarial.json",
 }
 
 
@@ -125,6 +123,15 @@ class TestJobsImportable:
         assert not (_ROOT / "jobs" / f"{job}.py").exists()
         outputs = _import_script(_ROOT / "jobs" / "evaluate.py").OUTPUTS
         assert _RETIRED_JOBS[job] in [json_file for _, json_file, _, _ in outputs]
+
+    def test_evaluate_writes_every_results_file_once(self):
+        # One job writes every committed results JSON, and no two of its
+        # rows write the same file.
+        outputs = _import_script(_ROOT / "jobs" / "evaluate.py").OUTPUTS
+        json_files = [json_file for _, json_file, _, _ in outputs]
+        committed = sorted(p.name for p in (_ROOT / "results").glob("*.json"))
+        assert sorted(json_files) == committed
+        assert len(set(json_files)) == len(json_files)
 
 
 def _spark_jobs(spark, group: str, fn):
@@ -205,3 +212,80 @@ class TestOneMetricPass:
         assert len(cost) == 4 * len(FULL_BUDGETS)
         proxy_free = cost["algo"] == "uniform"
         assert (cost["gpu_seconds"][proxy_free] == cost["budget"][proxy_free] / 4.0).all()
+
+
+
+@pytest.fixture(scope="module")
+def mini_streams():
+    # 500-record segments: four per stream, so the sweeps' T = 5 is a
+    # re-slice.
+    return load_streams(n_records=2_000, seg_len=500)
+
+
+class TestAppendixSweeps:
+    """``sensitivity`` and ``proxy_quality`` at miniature scale."""
+
+    @pytest.fixture(scope="class")
+    def sensitivity_runs(self, spark, mini_streams):
+        """Two calls' tables, and the segment counts of the streams each
+        ``run_trials`` call got."""
+        calls = []
+
+        def recording(spark, streams, **kwargs):
+            calls.append({name: s.n_segments for name, s in streams.items()})
+            return run_trials(spark, streams, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiments, "run_trials", recording)
+            tables = [
+                experiments.sensitivity(spark, mini_streams["archie"], n_trials=2)
+                for _ in range(2)
+            ]
+        return tables, calls
+
+    @pytest.fixture(scope="class")
+    def proxy_quality_runs(self, spark, mini_streams):
+        return [
+            experiments.proxy_quality(spark, mini_streams["rialto"], n_trials=2)
+            for _ in range(2)
+        ]
+
+    def test_sensitivity_rows(self, sensitivity_runs):
+        table = sensitivity_runs[0][0]
+        alphas, segments = [0.5, 0.6, 0.7, 0.8, 0.9], [4, 5, 6, 7, 8]
+        assert list(table.columns) == ["sweep", "value", "rmse"]
+        assert table["sweep"].tolist() == ["alpha"] * 5 + ["T"] * 5 + ["uniform-ref"] * 5
+        assert table["value"].tolist() == alphas + segments + segments
+        # NT = 5000 exceeds 2k records, so the estimates are all but exact.
+        assert (table["rmse"] >= 0).all() and (table["rmse"] < 1e-9).all()
+
+    def test_sensitivity_copies_have_t_segments(self, sensitivity_runs):
+        # Each alpha runs on a 5-segment copy; the T sweep is one call
+        # over one copy per T, cut into exactly T segments.
+        calls = sensitivity_runs[1]
+        one_call = [{"archie": 5}] * 5 + [
+            {f"archie-T{t}": t for t in range(4, 9)}
+        ]
+        assert calls == one_call * 2
+
+    def test_sensitivity_alpha_default_is_t5_row(self, sensitivity_runs):
+        # InQuest's default alpha (0.8) at T = 5 is the T sweep's T = 5 cell.
+        rmse = sensitivity_runs[0][0].set_index(["sweep", "value"])["rmse"]
+        assert rmse["alpha", 0.8] == rmse["T", 5]
+
+    def test_sensitivity_bit_identical(self, sensitivity_runs):
+        pd.testing.assert_frame_equal(*sensitivity_runs[0], check_exact=True)
+
+    def test_proxy_quality_rows(self, proxy_quality_runs):
+        table = proxy_quality_runs[0]
+        assert list(table.columns) == ["dataset", "inquest", "uniform"]
+        assert table["dataset"].tolist() == [
+            f"rialto-beta{beta}" for beta in (0.0, 0.25, 0.5, 0.75, 1.0)
+        ]
+        rmse = table[["inquest", "uniform"]]
+        assert (rmse >= 0).all().all() and rmse.notna().all().all()
+        # Uniform sampling never reads the proxy.
+        assert table["uniform"].nunique() == 1
+
+    def test_proxy_quality_bit_identical(self, proxy_quality_runs):
+        pd.testing.assert_frame_equal(*proxy_quality_runs, check_exact=True)
