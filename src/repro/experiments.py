@@ -267,8 +267,9 @@ def proxy_quality(spark: SparkSession, stream: StreamData, *, n_trials: int) -> 
 
     Rebuilds ``stream``'s proxy with the Section 5.5 interpolation
     ``proxy = beta*g + (1-beta)*U(0,1)`` for beta in {0, .25, .5, .75, 1}
-    (beta=1 is the perfect proxy, beta=0 pure noise) and reports InQuest's and uniform's median-segment RMSE at
-    each beta, with no predicate at ``PROXY_QUALITY_BUDGET``.
+    (beta=1 is the perfect proxy, beta=0 pure noise) and reports InQuest's
+    and uniform's median-segment RMSE at each beta, with no predicate at
+    ``PROXY_QUALITY_BUDGET``.
     """
     masked = stream.statistic * stream.pred
     g01 = masked / masked.max()
